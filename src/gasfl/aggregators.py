@@ -141,7 +141,11 @@ def bulyan(gradients, f: int) -> np.ndarray:
     prefer the lower value.
     """
     x = as_gradient_matrix(gradients)
-    sel = x[bulyan_selection(x, f)]
+    return _bulyan_average(x[bulyan_selection(x, f)], f)
+
+
+def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
+    """Bulyan's second stage on the rows Krum selected."""
     theta = sel.shape[0]
     beta = theta - 2 * f
     med = np.median(sel, axis=0)
@@ -258,7 +262,8 @@ def aggregate_with_selection(spec: AggregatorSpec, gradients, f: int,
         sel = multi_krum_selection(x, f)
         return x[sel].mean(axis=0), sel
     if spec.kind == "bulyan":
-        return bulyan(x, f), bulyan_selection(x, f)
+        sel = bulyan_selection(x, f)
+        return _bulyan_average(x[sel], f), sel
     if spec.kind == "geometric_median":
         return geometric_median(x, spec.iters, spec.eps), everyone
     if spec.kind == "dnc":

@@ -18,7 +18,7 @@ from .aggregators import (AggregatorSpec, bulyan, bulyan_selection, coordinate_m
                           coordinate_trimmed_mean, geometric_median, multi_krum,
                           _krum_scores, _pairwise_sq_dists, _spectral_scores)
 from .core import SeedSpec
-from .gas import GasConfig, KnownF, gas_aggregate
+from .gas import GasConfig, KnownF, gas_aggregate, group_scores
 
 SUITES = ("median", "trimmed_mean", "krum", "bulyan", "weiszfeld", "dnc", "gas")
 
@@ -121,7 +121,43 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
         gap = float(np.abs(table.totals - direct).max())
         cfg2 = GasConfig(p=min(3, d), base=base, selection=KnownF(0), seed=case_seed.child("gas2"))
         agg, _, _, _ = gas_aggregate(cfg2, x)
-        return max(gap, float(np.abs(agg - x.mean(axis=0)).max()))
+        gap = max(gap, float(np.abs(agg - x.mean(axis=0)).max()))
+        return max(gap, _gas_per_group_gap(rng, case_seed))
+
+    raise ValueError(f"unknown oracle suite {suite!r}")
+
+
+def _gas_per_group_gap(rng: np.random.Generator, case_seed: SeedSpec) -> float:
+    """Worst gap between gas_aggregate and a table built group by group.
+
+    The instance has uneven group sizes (d mod p != 0). Every base must give
+    the same selection, group scores and totals bit for bit; a mismatch
+    counts as a gap of 1.
+    """
+    n = int(rng.integers(5, 12))
+    f = int(rng.integers(0, min(n - 3, (n - 1) // 2) + 1))
+    d = int(rng.integers(3, 40))
+    p = int(rng.choice([q for q in range(2, d) if d % q]))
+    x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
+    rnd = int(rng.integers(0, 100))
+    for kind in ("median", "mean", "trimmed_mean", "multi_krum"):
+        cfg = GasConfig(p=p, base=AggregatorSpec(kind), selection=KnownF(f),
+                        seed=case_seed.child("gas_groups"))
+        agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
+        round_seed = cfg.seed.child("round", rnd)
+        scores = np.empty((n, p))
+        totals = np.zeros(n)
+        for q, subset in enumerate(part.subsets):
+            _, scores[:, q] = group_scores(x[:, subset], cfg.base, f,
+                                           seed=round_seed.child("group", q))
+            totals += scores[:, q]
+        kept = sorted(sorted(range(n), key=lambda i: (totals[i], i))[: n - f])
+        if not (np.array_equal(table.group_scores, scores) and np.array_equal(table.totals, totals)
+                and sel.selected.tolist() == kept
+                and np.array_equal(agg, x[kept].mean(axis=0))):
+            return 1.0
+    return 0.0
+
 
     raise ValueError(f"unknown oracle suite {suite!r}")
 

@@ -47,22 +47,50 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class IndexPartition:
-    """Disjoint cover of {0..d-1} by p index sets, each sorted ascending."""
+    """Disjoint cover of {0..d-1} by p index groups, stored flat.
 
-    subsets: tuple[np.ndarray, ...]
+    `order` is a permutation of 0..d-1 listed group by group, each group
+    ascending; group q is `order[offsets[q]:offsets[q + 1]]`. The p + 1
+    `offsets` start at 0 and end at d, and every group holds floor(d/p) or
+    ceil(d/p) indices. Both arrays are stored as read-only copies.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
     d: int
     p: int
 
     def __post_init__(self):
-        if len(self.subsets) != self.p:
-            raise ValueError(f"partition has {len(self.subsets)} subsets, expected p={self.p}")
+        if not 1 <= self.p <= self.d:
+            raise ValueError(f"group count must lie in [1, d={self.d}], got p={self.p}")
+        order = np.array(self.order, dtype=np.int64)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        if order.shape != (self.d,):
+            raise ValueError(f"order has shape {order.shape}, expected ({self.d},)")
+        if order.min() < 0 or order.max() >= self.d:
+            raise ValueError(f"order has an index outside [0, {self.d})")
+        if not (np.bincount(order, minlength=self.d) == 1).all():
+            raise ValueError("order is not a permutation of {0..d-1}")
+        if offsets.shape != (self.p + 1,) or offsets[0] != 0 or offsets[-1] != self.d:
+            raise ValueError(f"offsets must be p+1={self.p + 1} boundaries from 0 to d={self.d}")
         lo, hi = self.d // self.p, -(-self.d // self.p)
-        seen = np.concatenate([np.asarray(s) for s in self.subsets]) if self.p else np.array([])
-        if len(seen) != self.d or len(np.unique(seen)) != self.d or seen.min() < 0 or seen.max() >= self.d:
-            raise ValueError("subsets are not a disjoint cover of {0..d-1}")
-        for s in self.subsets:
-            if not lo <= len(s) <= hi:
-                raise ValueError(f"subset size {len(s)} outside [{lo}, {hi}]")
+        sizes = np.diff(offsets)
+        if sizes.min() < lo or sizes.max() > hi:
+            raise ValueError(f"group sizes {sizes.min()}..{sizes.max()} outside [{lo}, {hi}]")
+        rising = np.diff(order) > 0
+        rising[offsets[1:-1] - 1] = True  # a group may start below its predecessor's end
+        if not rising.all():
+            raise ValueError("indices within a group are not ascending")
+        order.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def subsets(self) -> tuple[np.ndarray, ...]:
+        """The p groups, as read-only views into `order`."""
+        bounds = self.offsets.tolist()
+        return tuple(self.order[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def as_gradient(values) -> np.ndarray:
@@ -98,11 +126,12 @@ def check_server_ingress(matrix: np.ndarray) -> None:
 
 
 def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
-    """Uniformly random partition of {0..d-1} into p sorted index sets.
+    """Uniformly random partition of {0..d-1} into p sorted index groups.
 
-    The indices are shuffled with the seeded stream and chunked into p
+    The indices are shuffled with the seeded stream and cut into p
     contiguous blocks; the first (d mod p) blocks get ceil(d/p) indices and
-    the rest floor(d/p). p > d is clamped to p = d.
+    the rest floor(d/p). Each block is then sorted in place in one pass, by
+    sorting the indices offset by block * d. p > d is clamped to p = d.
     """
     if d <= 0:
         raise ValueError("empty dimension")
@@ -111,8 +140,12 @@ def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
     p = min(p, d)
     order = np.arange(d)
     seed.generator().shuffle(order)
-    subsets = tuple(np.sort(chunk) for chunk in np.array_split(order, p))
-    return IndexPartition(subsets=subsets, d=d, p=p)
+    sizes = np.full(p, d // p)
+    sizes[: d % p] += 1
+    shift = np.repeat(np.arange(p) * d, sizes)
+    order = np.sort(order + shift) - shift
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return IndexPartition(order=order, offsets=offsets, d=d, p=p)
 
 
 def extract_subvector(g: np.ndarray, indices: np.ndarray) -> np.ndarray:

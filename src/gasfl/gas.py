@@ -6,11 +6,17 @@ group's aggregate, sums the scores across groups, keeps the lowest-scoring
 clients, and returns their plain average. Low-dimensional group scoring keeps
 colluding outliers visible, while averaging the kept clients preserves all
 the honest signal.
+
+A coordinate-wise base rule (mean, median, trimmed mean) gives each group the
+same aggregate whether it runs per group or once on the full matrix, so it
+runs once; the other rules run group by group. Either way the per-group
+aggregates form one length-d center, and all p group scores come from one
+pass over the residual to it. `group_scores` is the one-group form, kept as
+the straight-line reference.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,6 +24,9 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
+
+# Base rules whose output at each coordinate depends only on that coordinate.
+_SEPARABLE_BASES = ("mean", "median", "trimmed_mean")
 
 
 @dataclass(frozen=True)
@@ -88,14 +97,7 @@ def group_scores(sub_vectors, base: AggregatorSpec, f: int,
 
 def total_scores(table: ScoreTable) -> np.ndarray:
     """Row sums of the score table, accumulated in ascending group order."""
-    return _ascending_row_sums(table.group_scores)
-
-
-def _ascending_row_sums(scores: np.ndarray) -> np.ndarray:
-    totals = np.zeros(scores.shape[0])
-    for q in range(scores.shape[1]):
-        totals += scores[:, q]
-    return totals
+    return np.ascontiguousarray(table.group_scores.T).sum(axis=0)
 
 
 def select_clients(totals: np.ndarray, keep_count: int) -> SelectionResult:
@@ -118,16 +120,38 @@ def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
     return n - removed, removed
 
 
-def gas_aggregate(config: GasConfig, gradients, round: int = 0, n_jobs: int = 1,
+def _group_norms(x: np.ndarray, center: np.ndarray, partition: IndexPartition) -> np.ndarray:
+    """(p, n) table: row q holds each client's l2 distance to `center` over group q.
+
+    Bit-identical to `group_scores` on `x[:, subset]`: numpy returns that
+    sub-matrix column-major, so its row norms add the squared coordinates one
+    at a time in ascending order, not pairwise. Group sizes differ by at most
+    one, so the groups form at most two C-ordered (size, groups, n) stacks,
+    and reducing a stack over its leading axis adds coordinates in that same
+    order. Together the stacks hold one (n, d) buffer.
+    """
+    lo = partition.d // partition.p
+    split = (partition.d - lo * partition.p) * (lo + 1)  # the groups of lo + 1 come first
+    blocks = []
+    for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
+        if cols.size:
+            idx = cols.reshape(-1, size).T
+            sq = np.take(x.T, idx, axis=0)
+            sq -= center[idx][:, :, None]
+            sq *= sq
+            blocks.append(np.sqrt(np.add.reduce(sq, axis=0)))
+    return np.concatenate(blocks)
+
+
+def gas_aggregate(config: GasConfig, gradients, round: int = 0,
                   ) -> tuple[np.ndarray, ScoreTable, SelectionResult, IndexPartition]:
     """Full split/score/select/average pipeline for one communication round.
 
     The coordinate partition is resampled per round (or held fixed, per
     `config.partition_policy`) from seeds derived off `config.seed`, so the
-    call is a pure function of (config, gradients, round). Group scoring may
-    run on `n_jobs` threads; results land in preallocated slots and totals
-    are summed in ascending group order, so parallel and sequential runs are
-    bit-identical.
+    call is a pure function of (config, gradients, round). A separable base
+    rule runs once on the full matrix; any other runs once per group, seeded
+    per group. Totals are summed in ascending group order.
     """
     x = as_gradient_matrix(gradients)
     n, d = x.shape
@@ -143,22 +167,19 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0, n_jobs: int = 1,
         part_seed = config.seed.child("fixed_partition")
     partition = make_partition(d, min(config.p, d), part_seed)
 
-    scores = np.empty((n, partition.p))
-    round_seed = config.seed.child("round", round)
-
-    def _score_group(q: int) -> None:
-        _, col = group_scores(x[:, partition.subsets[q]], config.base, base_f,
-                              seed=round_seed.child("group", q))
-        scores[:, q] = col
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(_score_group, range(partition.p)))
+    if config.base.kind in _SEPARABLE_BASES:
+        # column-major, like each x[:, subset]: every coordinate then reduces
+        # over clients in the same order as it would within its own group
+        center = aggregate(config.base, np.asfortranarray(x), base_f)
     else:
-        for q in range(partition.p):
-            _score_group(q)
+        round_seed = config.seed.child("round", round)
+        center = np.empty(d)
+        for q, subset in enumerate(partition.subsets):
+            center[subset] = aggregate(config.base, x[:, subset], base_f,
+                                       seed=round_seed.child("group", q))
 
-    table = ScoreTable(group_scores=scores, totals=_ascending_row_sums(scores))
+    scores = _group_norms(x, center, partition)
+    table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
     result = select_clients(table.totals, keep_count)
     return x[result.selected].mean(axis=0), table, result, partition
 

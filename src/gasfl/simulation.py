@@ -265,7 +265,7 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int, n_jobs: int = 1,
         uploads[byz_mask] = crafted
     check_server_ingress(uploads)
 
-    agg, selected = _defend(cfg.defense, uploads, int(byz_clients.size), state.seed, t, n_jobs)
+    agg, selected = _defend(cfg.defense, uploads, int(byz_clients.size), state.seed, t)
     new_w = state.w - agg
 
     ratio, byz_in = inclusion_metrics(selected, byz_mask)
@@ -281,7 +281,7 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int, n_jobs: int = 1,
 
 
 def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
-            t: int, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
+            t: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         if isinstance(defense, PlainDefense):
             return aggregate_with_selection(defense.base, uploads, f_round, seed.child("agr", t))
@@ -290,7 +290,7 @@ def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
                          else gas_mod.Ratio(defense.delta))
             gcfg = gas_mod.GasConfig(p=defense.p, base=defense.base, selection=selection,
                                      seed=seed.child("gas"), partition_policy=defense.partition_policy)
-            agg, _, result, _ = gas_mod.gas_aggregate(gcfg, uploads, round=t, n_jobs=n_jobs)
+            agg, _, result, _ = gas_mod.gas_aggregate(gcfg, uploads, round=t)
             return agg, result.selected
         if isinstance(defense, BucketedDefense):
             agg = bucketing_wrap(defense.base, uploads, f_round, defense.s, seed.child("bucketing", t))

@@ -110,6 +110,24 @@ def test_bulyan_matches_straight_line_oracle():
     assert np.abs(bulyan(x, 2) - ref.bulyan_reference(x, 2)).max() <= 1e-12
 
 
+def test_bulyan_dispatch_selects_once(monkeypatch):
+    import gasfl.aggregators as agg_mod
+    calls = []
+    real = agg_mod.bulyan_selection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(agg_mod, "bulyan_selection", counted)
+    x = _rand(10, 11, 4)
+    out, sel = aggregate_with_selection(AggregatorSpec("bulyan"), x, 2)
+    assert len(calls) == 1
+    assert np.array_equal(sel, ref.bulyan_selection_reference(x, 2))
+    assert np.abs(out - ref.bulyan_reference(x, 2)).max() <= 1e-12
+    assert np.array_equal(out, bulyan(x, 2))
+
+
 def test_bulyan_output_within_selected_range():
     x = _rand(9, 11, 3)
     sel = x[bulyan_selection(x, 2)]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gasfl.core import (SeedSpec, as_gradient_matrix, check_server_ingress, extract_subvector,
-                        l2_norm, make_partition, mean)
+from gasfl.core import (IndexPartition, SeedSpec, as_gradient_matrix, check_server_ingress,
+                        extract_subvector, l2_norm, make_partition, mean)
 
 
 def test_partition_sizes_divisible():
@@ -55,6 +55,41 @@ def test_partition_pure_function_of_inputs():
     c = make_partition(100, 7, SeedSpec(42, (("round", 4),)))
     assert all(np.array_equal(x, y) for x, y in zip(a.subsets, b.subsets))
     assert any(not np.array_equal(x, y) for x, y in zip(a.subsets, c.subsets))
+
+
+def test_partition_pinned_example():
+    # groups as the earlier per-chunk np.sort(np.array_split(shuffled, p)) produced them
+    part = make_partition(10, 4, SeedSpec(2023))
+    assert part.order.tolist() == [1, 6, 7, 0, 2, 9, 4, 8, 3, 5]
+    assert part.offsets.tolist() == [0, 3, 6, 8, 10]
+    assert [s.tolist() for s in part.subsets] == [[1, 6, 7], [0, 2, 9], [4, 8], [3, 5]]
+    assert not part.subsets[0].flags.writeable
+
+
+@pytest.mark.parametrize("order, offsets, match", [
+    ([0, 1, 1, 3, 4], [0, 3, 5], "permutation"),           # duplicated index
+    ([0, 1, 2, 3, 5], [0, 3, 5], "outside"),               # out-of-range index
+    ([-1, 1, 2, 3, 4], [0, 3, 5], "outside"),
+    ([0, 1, 2, 3, 4], [1, 3, 5], "offsets"),               # does not start at 0
+    ([0, 1, 2, 3, 4], [0, 3, 4], "offsets"),               # does not end at d
+    ([0, 1, 2, 3, 4], [0, 3], "offsets"),                  # wrong boundary count
+    ([0, 1, 2, 3, 4], [0, 4, 5], "group sizes"),           # sizes 4 and 1, outside [2, 3]
+    ([0, 1, 2, 3], [0, 3, 5], "shape"),                    # order shorter than d
+    ([1, 0, 2, 3, 4], [0, 3, 5], "ascending"),             # unsorted group
+])
+def test_partition_field_validation(order, offsets, match):
+    with pytest.raises(ValueError, match=match):
+        IndexPartition(order=np.array(order), offsets=np.array(offsets), d=5, p=2)
+
+
+def test_partition_accepts_valid_fields_without_aliasing():
+    order, offsets = np.array([3, 4, 0, 1, 2]), np.array([0, 2, 5])
+    part = IndexPartition(order=order, offsets=offsets, d=5, p=2)
+    order[0] = 0
+    assert [s.tolist() for s in part.subsets] == [[3, 4], [0, 1, 2]]
+    for p in (0, 6):
+        with pytest.raises(ValueError, match="group count"):
+            IndexPartition(order=order, offsets=offsets, d=5, p=p)
 
 
 def test_extract_subvector_basics():

@@ -135,14 +135,25 @@ def test_gas_fixed_partition_policy():
     assert all(np.array_equal(p, q) for p, q in zip(a[3].subsets, c[3].subsets))
 
 
-def test_gas_parallel_bit_identical():
-    x = _rand(10, 12, 30)
-    cfg = _cfg(p=7)
-    seq = gas_aggregate(cfg, x, round=2, n_jobs=1)
-    par = gas_aggregate(cfg, x, round=2, n_jobs=4)
-    assert np.array_equal(seq[0], par[0])
-    assert np.array_equal(seq[1].group_scores, par[1].group_scores)
-    assert np.array_equal(seq[1].totals, par[1].totals)
+def test_gas_scores_match_per_group_path():
+    # the one-pass scoring equals scoring group by group with group_scores
+    n, d, f, rnd = 12, 30, 2, 2
+    x = _rand(10, n, d)
+    for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
+        for base in ("median", "mean", "trimmed_mean", "multi_krum"):
+            cfg = _cfg(p=p, base=base, selection=KnownF(f))
+            agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
+            round_seed = cfg.seed.child("round", rnd)
+            expected = np.empty((n, p))
+            totals = np.zeros(n)
+            for q, subset in enumerate(part.subsets):
+                _, expected[:, q] = group_scores(x[:, subset], cfg.base, f,
+                                                 seed=round_seed.child("group", q))
+                totals += expected[:, q]
+            assert np.array_equal(table.group_scores, expected), (p, base)
+            assert np.array_equal(table.totals, totals), (p, base)
+            assert np.array_equal(sel.selected, select_clients(totals, n - f).selected)
+            assert np.array_equal(agg, x[sel.selected].mean(axis=0))
 
 
 def test_gas_permutation_equivariance_fixed_partition():
