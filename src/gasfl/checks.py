@@ -159,7 +159,4 @@ def _gas_per_group_gap(rng: np.random.Generator, case_seed: SeedSpec) -> float:
     return 0.0
 
 
-    raise ValueError(f"unknown oracle suite {suite!r}")
-
-
 __all__ = ["SUITES", "SuiteReport", "run_suite"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .aggregators import KINDS as AGR_KINDS
@@ -33,7 +32,7 @@ def _fmt(value) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    # atomic per-file write so concurrent sweep points never interleave
+    # write-then-rename, so a killed run never leaves a truncated file
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
     tmp.replace(path)
@@ -68,9 +67,9 @@ def _summary_text(summary) -> str:
             f"best_accuracy_per_repeat = {per_repeat}\n")
 
 
-def _execute_run(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> None:
+def _execute_run(cfg: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_records, summary = run_experiment(cfg, n_jobs=jobs)
+    all_records, summary = run_experiment(cfg)
     outputs = {"rounds_csv": "rounds.csv", "summary": "summary.txt",
                "manifest": "manifest.json", "timings": "timings.txt"}
     _write(out_dir / "rounds.csv", _rounds_csv(all_records))
@@ -91,7 +90,7 @@ def cmd_run(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _execute_run(cfg, Path(args.out), args.jobs)
+        _execute_run(cfg, Path(args.out))
     except ValueError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -147,33 +146,23 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
+    lines = [f"{args.axis},repeat,best_accuracy,final_accuracy,mean_deviation"]
     try:
-        def _one(point) -> tuple[float, object, object]:
-            value, cfg = point
+        for value, cfg in points:
             sub = out_dir / f"{args.axis}_{format(value, 'g')}"
             records, summary = run_experiment(cfg)
             sub.mkdir(parents=True, exist_ok=True)
             _write(sub / "rounds.csv", _rounds_csv(records))
             _write(sub / "summary.txt", _summary_text(summary))
             _write(sub / "config.json", emit_config(cfg))
-            return value, records, summary
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_one, points))
-        else:
-            results = [_one(pt) for pt in points]
+            for repeat, recs in enumerate(records):
+                best = max(r.test_accuracy for r in recs)
+                final = recs[-1].test_accuracy
+                mean_dev = sum(r.deviation for r in recs) / len(recs)
+                lines.append(",".join([_fmt(value), str(repeat), _fmt(best), _fmt(final), _fmt(mean_dev)]))
     except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    lines = [f"{args.axis},repeat,best_accuracy,final_accuracy,mean_deviation"]
-    for value, records, summary in results:  # deterministic axis order
-        for repeat, recs in enumerate(records):
-            best = max(r.test_accuracy for r in recs)
-            final = recs[-1].test_accuracy
-            mean_dev = sum(r.deviation for r in recs) / len(recs)
-            lines.append(",".join([_fmt(value), str(repeat), _fmt(best), _fmt(final), _fmt(mean_dev)]))
     _write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -222,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per value of one axis")
@@ -230,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="empirical resilience probe for one rule")

@@ -78,12 +78,21 @@ def _reject_unknown(section: dict, path: str, allowed: set[str]) -> None:
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
+def _build(field: str, ctor, **kwargs):
+    """ctor(**kwargs), reporting its validation error against `field`."""
+    try:
+        return ctor(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def _parse_aggregator(raw: dict, path: str) -> AggregatorSpec:
     _reject_unknown(raw, path, {"kind", "iters", "eps", "c", "niters", "b"})
     kind = _get(raw, path, "kind", str, required=True)
     if kind not in AGR_KINDS:
         raise ConfigError(f"{path}.kind", f"unknown aggregator {kind!r}, expected one of {AGR_KINDS}")
-    return AggregatorSpec(
+    return _build(
+        path, AggregatorSpec,
         kind=kind,
         iters=_get(raw, path, "iters", int, 3),
         eps=_get(raw, path, "eps", float, 1e-8),
@@ -100,23 +109,22 @@ def _parse_defense(raw: dict) -> Defense:
         return PlainDefense(base=_parse_aggregator(_section(raw, "base"), "defense.base"))
     if kind == "gas":
         _reject_unknown(raw, "defense", {"kind", "base", "p", "selection_mode", "delta", "partition_policy"})
-        mode = _get(raw, "defense", "selection_mode", str, "known_f")
-        if mode not in ("known_f", "ratio"):
-            raise ConfigError("defense.selection_mode", f"expected 'known_f' or 'ratio', got {mode!r}")
         delta = _get(raw, "defense", "delta", float, 0.1)
         if not 0.0 <= delta < 0.5:
             raise ConfigError("defense.delta", f"must lie in [0, 0.5), got {delta}")
-        return GasDefense(
+        return _build(
+            "defense", GasDefense,
             base=_parse_aggregator(_section(raw, "base"), "defense.base"),
             p=_get(raw, "defense", "p", int, required=True),
-            selection_mode=mode,
+            selection_mode=_get(raw, "defense", "selection_mode", str, "known_f"),
             delta=delta,
             partition_policy=_get(raw, "defense", "partition_policy", str, "per_round"),
         )
     if kind == "bucketing":
         _reject_unknown(raw, "defense", {"kind", "base", "s"})
-        return BucketedDefense(base=_parse_aggregator(_section(raw, "base"), "defense.base"),
-                               s=_get(raw, "defense", "s", int, required=True))
+        return _build("defense", BucketedDefense,
+                      base=_parse_aggregator(_section(raw, "base"), "defense.base"),
+                      s=_get(raw, "defense", "s", int, required=True))
     raise ConfigError("defense.kind", f"unknown defense {kind!r}, expected plain, gas, or bucketing")
 
 
@@ -162,7 +170,8 @@ def parse_config(text: str) -> ExperimentConfig:
     tr = _section(raw, "trainer", required=False)
     _reject_unknown(tr, "trainer",
                     {"local_epochs", "batch_size", "learning_rate", "momentum", "weight_decay", "clip_norm"})
-    trainer = TrainerConfig(
+    trainer = _build(
+        "trainer", TrainerConfig,
         local_epochs=_get(tr, "trainer", "local_epochs", int, 5),
         batch_size=_get(tr, "trainer", "batch_size", int, 64),
         learning_rate=_get(tr, "trainer", "learning_rate", float, 0.1),
@@ -176,7 +185,8 @@ def parse_config(text: str) -> ExperimentConfig:
     attack_kind = _get(atk, "attack", "kind", str, required=True)
     if attack_kind not in ATTACK_KINDS:
         raise ConfigError("attack.kind", f"unknown attack {attack_kind!r}, expected one of {ATTACK_KINDS}")
-    attack = AttackSpec(
+    attack = _build(
+        "attack", AttackSpec,
         kind=attack_kind,
         z=_get(atk, "attack", "z", float, 1.5),
         gamma_init=_get(atk, "attack", "gamma_init", float, 10.0),
@@ -189,23 +199,21 @@ def parse_config(text: str) -> ExperimentConfig:
     ratio = _get(exp, "experiment", "client_sample_ratio", float, 1.0)
     if not 0 < ratio <= 1:
         raise ConfigError("experiment.client_sample_ratio", f"must lie in (0, 1], got {ratio}")
-    try:
-        return ExperimentConfig(
-            n_clients=n_clients,
-            n_byzantine=n_byz,
-            rounds=_get(exp, "experiment", "rounds", int, required=True),
-            attack=attack,
-            defense=defense,
-            trainer=trainer,
-            data=data,
-            hidden=hidden,
-            init_scale=init_scale,
-            client_sample_ratio=ratio,
-            repeats=_get(exp, "experiment", "repeats", int, 5),
-            master_seed=_get(exp, "experiment", "master_seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError("experiment", str(exc)) from exc
+    return _build(
+        "experiment", ExperimentConfig,
+        n_clients=n_clients,
+        n_byzantine=n_byz,
+        rounds=_get(exp, "experiment", "rounds", int, required=True),
+        attack=attack,
+        defense=defense,
+        trainer=trainer,
+        data=data,
+        hidden=hidden,
+        init_scale=init_scale,
+        client_sample_ratio=ratio,
+        repeats=_get(exp, "experiment", "repeats", int, 5),
+        master_seed=_get(exp, "experiment", "master_seed", int, 0),
+    )
 
 
 def _aggregator_dict(spec: AggregatorSpec) -> dict[str, Any]:

@@ -54,18 +54,21 @@ class Ratio:
 Selection = Union[KnownF, Ratio]
 
 
+PARTITION_POLICIES = ("per_round", "fixed")
+
+
 @dataclass(frozen=True)
 class GasConfig:
     p: int
     base: AggregatorSpec
     selection: Selection
     seed: SeedSpec
-    partition_policy: str = "per_round"  # or "fixed"
+    partition_policy: str = "per_round"  # one of PARTITION_POLICIES
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"group count must be >= 1, got p={self.p}")
-        if self.partition_policy not in ("per_round", "fixed"):
+        if self.partition_policy not in PARTITION_POLICIES:
             raise ValueError(f"unknown partition policy {self.partition_policy!r}")
 
 
@@ -185,6 +188,6 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
 
 
 __all__ = [
-    "GasConfig", "KnownF", "Ratio", "ScoreTable", "SelectionResult",
+    "PARTITION_POLICIES", "GasConfig", "KnownF", "Ratio", "ScoreTable", "SelectionResult",
     "group_scores", "total_scores", "select_clients", "gas_aggregate",
 ]

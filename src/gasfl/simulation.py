@@ -4,7 +4,7 @@ One round samples clients, runs local SGD on honest clients, lets the attack
 replace the Byzantine uploads, aggregates with the configured defense, and
 applies the aggregate with server learning rate 1. Every random choice is a
 labeled child of the run seed, so rounds are pure functions of (config,
-seed, t) and client training can run on threads without changing results.
+seed, t) and a whole run is reproducible from its config and seed.
 
 Seed derivation used by one run (all children of the per-repeat run seed):
   data            -> "data"
@@ -20,7 +20,6 @@ Seed derivation used by one run (all children of the per-repeat run seed):
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,9 +44,11 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when enabled")
-        if self.local_epochs < 0 or self.batch_size < 1:
-            raise ValueError("invalid trainer configuration")
+            raise ValueError(f"clip_norm must be positive when enabled, got {self.clip_norm}")
+        if self.local_epochs < 0:
+            raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,23 @@ class GasDefense:
     partition_policy: str = "per_round"
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.selection_mode not in ("known_f", "ratio"):
-            raise ValueError(f"unknown selection mode {self.selection_mode!r}")
+            raise ValueError(f"selection_mode must be 'known_f' or 'ratio', got {self.selection_mode!r}")
+        if self.partition_policy not in gas_mod.PARTITION_POLICIES:
+            raise ValueError(f"partition_policy must be one of {gas_mod.PARTITION_POLICIES}, "
+                             f"got {self.partition_policy!r}")
 
 
 @dataclass(frozen=True)
 class BucketedDefense:
     base: AggregatorSpec
     s: int
+
+    def __post_init__(self):
+        if self.s < 1:
+            raise ValueError(f"s must be >= 1, got {self.s}")
 
 
 Defense = Union[PlainDefense, GasDefense, BucketedDefense]
@@ -226,8 +236,7 @@ def _sample_clients(cfg: ExperimentConfig, state: RunState, t: int) -> np.ndarra
     return np.asarray([c for c in sampled if state.shards[c][0].shape[0] > 0], dtype=np.int64)
 
 
-def run_round(state: RunState, cfg: ExperimentConfig, t: int, n_jobs: int = 1,
-              ) -> tuple[np.ndarray, RoundRecord]:
+def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarray, RoundRecord]:
     """Execute round t and return (new parameter vector, metrics record)."""
     started = time.perf_counter()
     sampled = _sample_clients(cfg, state, t)
@@ -238,20 +247,13 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int, n_jobs: int = 1,
         raise ValueError(f"round {t}: no honest client sampled")
 
     needs_own = cfg.attack.kind in ("none", "bit_flip", "label_flip")
-    train_ids = list(sampled) if needs_own else list(honest_clients)
+    train_ids = sampled if needs_own else honest_clients
     flip = cfg.attack.kind == "label_flip"
-
-    def _train(cid: int) -> np.ndarray:
-        feats, labels = state.shards[cid]
-        return local_train(state.model, state.w, feats, labels, cfg.trainer,
-                           state.seed.child("train", t).child("client", cid),
-                           flip_labels=flip and cid in state.byz_ids)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            grads = dict(zip(train_ids, pool.map(_train, train_ids)))
-    else:
-        grads = {cid: _train(cid) for cid in train_ids}
+    train_seed = state.seed.child("train", t)
+    grads = {cid: local_train(state.model, state.w, *state.shards[cid], cfg.trainer,
+                              train_seed.child("client", cid),
+                              flip_labels=flip and cid in state.byz_ids)
+             for cid in train_ids}
 
     honest_matrix = np.stack([grads[c] for c in honest_clients])
     byz_true = np.stack([grads[c] for c in byz_clients]) if (needs_own and byz_clients.size) else None
@@ -300,22 +302,20 @@ def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
     raise ValueError(f"unknown defense {defense!r}")
 
 
-def run_single(cfg: ExperimentConfig, seed: SeedSpec, n_jobs: int = 1) -> list[RoundRecord]:
+def run_single(cfg: ExperimentConfig, seed: SeedSpec) -> list[RoundRecord]:
     """One full training run of cfg.rounds rounds from a fresh state."""
     state = init_run(cfg, seed)
     records = []
     for t in range(cfg.rounds):
-        state.w, record = run_round(state, cfg, t, n_jobs=n_jobs)
+        state.w, record = run_round(state, cfg, t)
         records.append(record)
     return records
 
 
-def run_experiment(cfg: ExperimentConfig, n_jobs: int = 1,
-                   ) -> tuple[list[list[RoundRecord]], ExperimentSummary]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[list[RoundRecord]], ExperimentSummary]:
     """cfg.repeats independent runs; summary aggregates the per-run best accuracy."""
     master = SeedSpec(cfg.master_seed)
-    all_records = [run_single(cfg, master.child("repeat", r), n_jobs=n_jobs)
-                   for r in range(cfg.repeats)]
+    all_records = [run_single(cfg, master.child("repeat", r)) for r in range(cfg.repeats)]
     bests = tuple(max(rec.test_accuracy for rec in run) for run in all_records)
     summary = ExperimentSummary(best_accuracies=bests,
                                 best_mean=float(np.mean(bests)),

@@ -214,16 +214,13 @@ def test_A9_cli_determinism(tmp_path):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    outs = [tmp_path / name for name in ["a", "b", "par"]]
-    assert main(["run", "--config", str(cfg), "--out", str(outs[0])]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(outs[1])]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(outs[2]), "--jobs", "4"]) == 0
-    identical = all(
-        (outs[0] / name).read_bytes() == (other / name).read_bytes()
-        for name in ["rounds.csv", "summary.txt", "manifest.json"]
-        for other in outs[1:])
+    outs = [tmp_path / name for name in ["a", "b"]]
+    for out in outs:
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    identical = all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+                    for name in ["rounds.csv", "summary.txt", "manifest.json"])
     _report("A9 determinism", identical,
-            "rerun and --jobs 4 outputs byte-identical across rounds.csv, summary.txt, manifest.json")
+            "rerun outputs byte-identical across rounds.csv, summary.txt, manifest.json")
 
 
 # A10 --------------------------------------------------------------------------------

@@ -54,6 +54,32 @@ def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("path, value, needle", [
+    ("trainer.clip_norm", -1.0, "trainer: clip_norm"),
+    ("trainer.batch_size", 0, "trainer: batch_size"),
+    ("attack.tau", 0.0, "attack: "),
+    ("defense.base.iters", 0, "defense.base: "),
+    ("defense.p", 0, "defense: p "),
+    ("defense.p", -3, "defense: p "),
+    ("defense.partition_policy", "sometimes", "defense: partition_policy"),
+    ("defense.s", 0, "defense: s "),
+])
+def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    if path == "defense.s":
+        payload["defense"] = {"kind": "bucketing", "base": {"kind": "median"}, "s": 2}
+    *sections, key = path.split(".")
+    target = payload
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
 def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "experiment.n_clients": 9, "experiment.n_byzantine": 4,
@@ -71,15 +97,6 @@ def test_run_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ["rounds.csv", "summary.txt", "manifest.json"]:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_run_parallel_byte_identical(tmp_path):
-    cfg = _write_config(tmp_path)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    assert main(["run", "--config", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out2), "--jobs", "4"]) == 0
     for name in ["rounds.csv", "summary.txt", "manifest.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -132,13 +149,14 @@ def test_sweep_non_integer_value_for_integer_axis(tmp_path):
                  "--values", "1.5", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_sweep_parallel_byte_identical(tmp_path):
+def test_sweep_byte_identical_reruns(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = ["sweep", "--config", str(cfg), "--axis", "delta", "--values", "0.1,0.3"]
-    assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    for name in ["sweep.csv", "delta_0.1/rounds.csv", "delta_0.3/rounds.csv"]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # certify ---------------------------------------------------------------------------

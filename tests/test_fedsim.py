@@ -289,18 +289,6 @@ def test_run_round_rejects_nan_uploads(monkeypatch):
         run_round(state, cfg, 0)
 
 
-def test_run_round_parallel_bit_identical():
-    cfg = _small_cfg(attack="lie", n=8, f=2, rounds=1,
-                     defense=GasDefense(AggregatorSpec("median"), p=3))
-    s1 = init_run(cfg, SeedSpec(31))
-    s2 = init_run(cfg, SeedSpec(31))
-    w_seq, rec_seq = run_round(s1, cfg, 0, n_jobs=1)
-    w_par, rec_par = run_round(s2, cfg, 0, n_jobs=4)
-    assert np.array_equal(w_seq, w_par)
-    assert rec_seq.test_accuracy == rec_par.test_accuracy
-    assert rec_seq.deviation == rec_par.deviation
-
-
 def test_bucketed_defense_runs():
     cfg = _small_cfg(attack="lie", n=9, f=2, rounds=2,
                      defense=BucketedDefense(AggregatorSpec("median"), s=2))
