@@ -12,7 +12,7 @@ from .aggregators import (AggregatorSpec, ResilienceReport, aggregate, bucketing
 from .attacks import AttackContext, AttackSpec, craft
 from .core import (IndexPartition, SeedSpec, extract_subvector, l2_norm, make_partition,
                    mean)
-from .data import (DirichletPartition, SyntheticDataset, SyntheticGradientModel,
+from .data import (ClientShards, DirichletPartition, SyntheticDataset, SyntheticGradientModel,
                    dirichlet_partition, generate_synthetic)
 from .gas import GasConfig, KnownF, Ratio, ScoreTable, SelectionResult, gas_aggregate
 from .models import Model

@@ -18,6 +18,7 @@ from .aggregators import KINDS as AGR_KINDS
 from .aggregators import AggregatorSpec
 from .attacks import KINDS as ATTACK_KINDS
 from .attacks import AttackSpec
+from .models import Model
 from .simulation import (BucketedDefense, DataConfig, Defense, ExperimentConfig,
                          GasDefense, PlainDefense, TrainerConfig)
 
@@ -150,7 +151,8 @@ def parse_config(text: str) -> ExperimentConfig:
     data_raw = _section(raw, "data", required=False)
     _reject_unknown(data_raw, "data",
                     {"n_classes", "n_features", "per_class", "r_sep", "noise", "beta", "test_per_class"})
-    data = DataConfig(
+    data = _build(
+        "data", DataConfig,
         n_classes=_get(data_raw, "data", "n_classes", int, 10),
         n_features=_get(data_raw, "data", "n_features", int, 64),
         per_class=_get(data_raw, "data", "per_class", int, 50),
@@ -159,12 +161,11 @@ def parse_config(text: str) -> ExperimentConfig:
         beta=_get(data_raw, "data", "beta", float, 0.5),
         test_per_class=_get(data_raw, "data", "test_per_class", int, 1000, nullable=True),
     )
-    if data.beta <= 0:
-        raise ConfigError("data.beta", f"must be positive, got {data.beta}")
 
     model_raw = _section(raw, "model", required=False)
     _reject_unknown(model_raw, "model", {"hidden", "init_scale"})
     hidden = _get(model_raw, "model", "hidden", int, None, nullable=True)
+    _build("model", Model, n_classes=data.n_classes, n_features=data.n_features, hidden=hidden)
     init_scale = _get(model_raw, "model", "init_scale", float, 0.3)
 
     tr = _section(raw, "trainer", required=False)

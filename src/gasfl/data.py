@@ -3,12 +3,14 @@
 The dataset is a Gaussian-blob classification task sized to run in seconds:
 class centers sit on a sphere, samples add isotropic noise. Client shards
 come from a per-class Dirichlet draw, the standard recipe for dialing data
-heterogeneity with a single concentration parameter.
+heterogeneity with a single concentration parameter. `ClientShards` keeps
+every shard in one pair of arrays, the layout batched local training reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +39,38 @@ class DirichletPartition:
 
     client_indices: tuple[np.ndarray, ...]
     beta: float
+
+
+@dataclass(frozen=True)
+class ClientShards:
+    """Client shards stored back to back in one pair of read-only arrays.
+
+    Client i owns rows `starts[i] : starts[i] + counts[i]` of `features` and
+    `labels`. `shards[i]` is client i's (features, labels) pair of views, and
+    `take` selects clients without copying the data.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_shards(cls, shards: Sequence[tuple[np.ndarray, np.ndarray]]) -> "ClientShards":
+        counts = np.array([labels.size for _, labels in shards], dtype=np.int64)
+        features = np.concatenate([f for f, _ in shards])
+        labels = np.concatenate([y for _, y in shards])
+        features.flags.writeable = labels.flags.writeable = False
+        return cls(features=features, labels=labels, starts=np.cumsum(counts) - counts,
+                   counts=counts)
+
+    def __getitem__(self, client: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(self.starts[client], self.starts[client] + self.counts[client])
+        return self.features[rows], self.labels[rows]
+
+    def take(self, clients) -> "ClientShards":
+        """The shards of `clients`, in that order, sharing this object's data."""
+        return ClientShards(self.features, self.labels, self.starts[clients], self.counts[clients])
 
 
 @dataclass(frozen=True)
@@ -140,5 +174,5 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-__all__ = ["SyntheticDataset", "DirichletPartition", "SyntheticGradientModel",
+__all__ = ["SyntheticDataset", "DirichletPartition", "ClientShards", "SyntheticGradientModel",
            "generate_synthetic", "dirichlet_partition"]

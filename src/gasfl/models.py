@@ -4,6 +4,16 @@ The default model is a softmax linear classifier (weights then biases in the
 flat layout, d = C*m + C). Setting `hidden` switches to a one-hidden-layer
 tanh network with layout [W1, b1, W2, b2]. Loss is mean cross-entropy;
 gradients are analytic and checked against finite differences in the tests.
+
+`Model.grads` computes the gradients of many clients at once from padded
+batches, bit-identical to one `Model.grad` call per client. OpenBLAS rows
+of `X @ W.T` depend on the height of X, so every product and sum over a
+batch runs as one stacked call per run of clients with the same batch
+height, on exactly their rows. Each stack item is then the call that
+`Model.grad` makes, and padded rows are never read. Padding the batch
+inside a product or sum is not exact: a width-1 layer or feature turns the
+contraction into a matrix-vector BLAS call, and numpy sums a width-1 column
+pairwise, and both round differently when the length changes.
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ class Model:
     n_features: int
     hidden: int | None = None
 
+    def __post_init__(self):
+        if self.hidden is not None and self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1 or null, got {self.hidden}")
+
     @property
     def dim(self) -> int:
         c, m = self.n_classes, self.n_features
@@ -33,12 +47,15 @@ class Model:
         return scale * seed.child("init").generator().standard_normal(self.dim)
 
     def _unpack(self, w: np.ndarray):
+        """Views of the layers of w (d,) or of each row of w (k, d)."""
         c, m = self.n_classes, self.n_features
+        lead = w.shape[:-1]
         if self.hidden is None:
-            return w[: c * m].reshape(c, m), w[c * m :]
+            return w[..., : c * m].reshape(*lead, c, m), w[..., c * m :]
         h = self.hidden
-        parts = np.split(w, np.cumsum([h * m, h, c * h]))
-        return parts[0].reshape(h, m), parts[1], parts[2].reshape(c, h), parts[3]
+        parts = np.split(w, np.cumsum([h * m, h, c * h]), axis=-1)
+        return (parts[0].reshape(*lead, h, m), parts[1],
+                parts[2].reshape(*lead, c, h), parts[3])
 
     def logits(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
         if self.hidden is None:
@@ -74,6 +91,35 @@ class Model:
             (probs.T @ hidden).ravel(), probs.sum(axis=0),
         ])
 
+    def grads(self, ws: np.ndarray, features: np.ndarray, labels: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+        """Gradients of k clients at once; row i equals, bit for bit,
+        `grad(ws[i], features[i, :counts[i]], labels[i, :counts[i]])`.
+
+        ws is (k, d), features (k, b, m), labels (k, b) and counts (k,) with
+        1 <= counts[i] <= b. Slots past counts[i] are padding and are never
+        read, except that their labels must be valid class indices. Clients
+        sorted by count make fewer, larger stacked products.
+        """
+        k = features.shape[0]
+        runs = _equal_runs(counts)
+        if self.hidden is None:
+            weights, bias = self._unpack(ws)
+            probs = _softmax(_rows_matmul(features, weights.swapaxes(1, 2), runs)
+                             + bias[:, None, :])
+            _loss_slope(probs, labels, counts)
+            return np.concatenate([_rows_contract(probs, features, runs).reshape(k, -1),
+                                   _rows_sum(probs, runs)], axis=1)
+        w1, b1, w2, b2 = self._unpack(ws)
+        hidden = np.tanh(_rows_matmul(features, w1.swapaxes(1, 2), runs) + b1[:, None, :])
+        probs = _softmax(_rows_matmul(hidden, w2.swapaxes(1, 2), runs) + b2[:, None, :])
+        _loss_slope(probs, labels, counts)
+        d_hidden = _rows_matmul(probs, w2, runs) * (1.0 - hidden * hidden)
+        return np.concatenate([
+            _rows_contract(d_hidden, features, runs).reshape(k, -1), _rows_sum(d_hidden, runs),
+            _rows_contract(probs, hidden, runs).reshape(k, -1), _rows_sum(probs, runs),
+        ], axis=1)
+
     def predict(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
         return self.logits(w, features).argmax(axis=1)
 
@@ -82,9 +128,52 @@ class Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _equal_runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, count) for each run of equal consecutive counts."""
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(edges, edges[1:])]
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray, runs) -> np.ndarray:
+    """a @ b over stacks a (k, rows, n) and b (k, n, p), keeping only the
+    first `count` rows of each item; the rest of the result is zero.
+
+    Each run of equal counts is one stacked matmul of height `count`, so
+    every item is the BLAS call an unpadded product of that height makes.
+    """
+    out = np.zeros((a.shape[0], a.shape[1], b.shape[2]))
+    for lo, hi, count in runs:
+        np.matmul(a[lo:hi, :count], b[lo:hi], out=out[lo:hi, :count])
+    return out
+
+
+def _rows_contract(a: np.ndarray, b: np.ndarray, runs) -> np.ndarray:
+    """a.T @ b over stacks a (k, rows, n) and b (k, rows, p), summed over
+    the first `count` rows of each item only, one stacked matmul per run."""
+    out = np.empty((a.shape[0], a.shape[2], b.shape[2]))
+    for lo, hi, count in runs:
+        np.matmul(a[lo:hi, :count].swapaxes(1, 2), b[lo:hi, :count], out=out[lo:hi])
+    return out
+
+
+def _rows_sum(a: np.ndarray, runs) -> np.ndarray:
+    """Sum of a (k, rows, n) over the first `count` rows of each item."""
+    out = np.empty((a.shape[0], a.shape[2]))
+    for lo, hi, count in runs:
+        a[lo:hi, :count].sum(axis=1, out=out[lo:hi])
+    return out
+
+
+def _loss_slope(probs: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
+    """Turn softmax outputs (k, rows, C) into (probs - onehot) / count in place."""
+    k, rows, _ = probs.shape
+    probs[np.arange(k)[:, None], np.arange(rows), labels] -= 1.0
+    probs /= counts[:, None, None]
 
 
 def _bias_of(model: Model, w: np.ndarray) -> np.ndarray:

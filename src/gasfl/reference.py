@@ -104,6 +104,36 @@ def top_direction_reference(centered: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
+def local_train_reference(model, w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                          cfg, seed, flip_labels: bool = False) -> np.ndarray:
+    """One client's local SGD, batch by batch with `Model.grad`.
+
+    Momentum, weight decay and per-batch gradient clipping as configured by
+    the TrainerConfig `cfg`; the permutation of each epoch comes from
+    `seed.generator()`. Returns the update w_start - w_end.
+    """
+    if features.shape[0] == 0:
+        raise ValueError("empty client shard")
+    if flip_labels:
+        labels = (model.n_classes - 1) - labels
+    rng = seed.generator()
+    current = w.copy()
+    velocity = np.zeros_like(w)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(features.shape[0])
+        for start in range(0, order.size, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            g = model.grad(current, features[batch], labels[batch])
+            if cfg.clip_norm is not None:
+                norm = np.linalg.norm(g)
+                if norm > cfg.clip_norm:
+                    g = g * (cfg.clip_norm / norm)
+            step = g + cfg.weight_decay * current
+            velocity = cfg.momentum * velocity + step
+            current = current - cfg.learning_rate * velocity
+    return w - current
+
+
 def bucketed_means_reference(points: np.ndarray, s: int, permutation: np.ndarray) -> np.ndarray:
     """Permute, chunk into ceil(n/s) consecutive buckets, average each."""
     n = points.shape[0]
@@ -122,4 +152,5 @@ __all__ = [
     "median_reference", "trimmed_mean_reference", "krum_scores_reference",
     "multi_krum_reference", "bulyan_selection_reference", "bulyan_reference",
     "geometric_median_objective", "top_direction_reference", "bucketed_means_reference",
+    "local_train_reference",
 ]

@@ -6,6 +6,13 @@ applies the aggregate with server learning rate 1. Every random choice is a
 labeled child of the run seed, so rounds are pure functions of (config,
 seed, t) and a whole run is reproducible from its config and seed.
 
+Local SGD runs once per round for all training clients together:
+`local_train` steps every client's parameters as rows of one (k, d) array
+and takes their gradients with `Model.grads`. Each client keeps its own
+permutation stream and batches, so every row is bit-identical to training
+that client alone with `reference.local_train_reference`. The shards are
+fixed for a run and live in one `ClientShards` built by `init_run`.
+
 Seed derivation used by one run (all children of the per-repeat run seed):
   data            -> "data"
   shard partition -> "shards"
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from . import gas as gas_mod
 from .aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap
 from .attacks import AttackContext, AttackSpec, craft
 from .core import SeedSpec, check_server_ingress
-from .data import SyntheticDataset, dirichlet_partition, generate_synthetic
+from .data import ClientShards, SyntheticDataset, dirichlet_partition, generate_synthetic
 from .models import Model
 
 
@@ -69,6 +76,17 @@ class DataConfig:
     noise: float = 1.75
     beta: float = 0.5
     test_per_class: int | None = 1000
+
+    def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        for name in ("n_features", "per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.test_per_class is not None and self.test_per_class < 1:
+            raise ValueError(f"test_per_class must be >= 1 or null, got {self.test_per_class}")
+        if self.beta <= 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +151,11 @@ class ExperimentConfig:
             raise ValueError("client_sample_ratio must lie in (0, 1]")
         if self.rounds < 1 or self.repeats < 1:
             raise ValueError("rounds and repeats must be >= 1")
+        if isinstance(self.defense, GasDefense):
+            dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim
+            if self.defense.p > dim:
+                raise ValueError(f"defense.p must be <= the model dimension {dim}, "
+                                 f"got {self.defense.p}")
 
 
 @dataclass(frozen=True)
@@ -156,39 +179,66 @@ class ExperimentSummary:
 class RunState:
     model: Model
     w: np.ndarray
-    shards: list[tuple[np.ndarray, np.ndarray]]
+    shards: ClientShards
     test: SyntheticDataset
     byz_ids: frozenset[int]
     seed: SeedSpec
 
 
-def local_train(model: Model, w: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                cfg: TrainerConfig, seed: SeedSpec, flip_labels: bool = False) -> np.ndarray:
-    """Local SGD with momentum, weight decay, and per-batch gradient clipping.
+def local_train(model: Model, w: np.ndarray, shards: ClientShards, cfg: TrainerConfig,
+                seeds: Sequence[SeedSpec], flip_labels: np.ndarray | None = None) -> np.ndarray:
+    """Local SGD with momentum, weight decay, and per-batch gradient clipping
+    for every client of `shards` at once, all starting from w.
 
-    Returns the update g = w_start - w_end. Label flipping (y -> C-1-y) is
-    the data-poisoning path for Byzantine clients under the label_flip attack.
+    Returns the (k, d) updates g_i = w_start - w_end, row i bit-identical to
+    `reference.local_train_reference` on shard i with seeds[i]. Client i
+    draws each epoch's permutation from its own seeds[i].generator(), so it
+    trains on the batches it would train on alone; a client whose epochs
+    have fewer batches sits out the later steps. Clients with
+    flip_labels[i] train on flipped labels (y -> C-1-y), the data-poisoning
+    path of Byzantine clients under the label_flip attack.
     """
-    if features.shape[0] == 0:
+    counts = shards.counts
+    if (counts == 0).any():
         raise ValueError("empty client shard")
-    if flip_labels:
-        labels = (model.n_classes - 1) - labels
-    rng = seed.generator()
-    current = w.copy()
-    velocity = np.zeros_like(w)
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(features.shape[0])
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            g = model.grad(current, features[batch], labels[batch])
+    # largest shards first: each step's clients are a prefix, equal batch heights are runs
+    rank = np.argsort(-counts, kind="stable")
+    counts, starts = counts[rank], shards.starts[rank]
+    flips = (np.zeros(counts.size, dtype=bool) if flip_labels is None
+             else np.asarray(flip_labels, dtype=bool)[rank])
+    size, epochs = cfg.batch_size, cfg.local_epochs
+    n_batches = -(-int(counts[0]) // size)
+    steps = []
+    for j in range(n_batches):
+        heights = np.clip(counts - j * size, 0, size)
+        steps.append((slice(j * size, j * size + int(heights[0])), heights[heights > 0]))
+    # rows[e, i, s]: data row of slot s in client i's epoch e (row 0 pads, never read);
+    # permuted() draws the same permutations as one permutation() call per epoch
+    slots = np.arange(n_batches * size) < counts[:, None]
+    unshuffled = np.tile(np.arange(counts[0]), (epochs, 1))
+    perms = [seeds[i].generator().permuted(unshuffled[:, :n], axis=1) for i, n in zip(rank, counts)]
+    rows = np.zeros((epochs, *slots.shape), dtype=np.int64)
+    rows[:, slots] = np.concatenate(perms, axis=1) + np.repeat(starts, counts)
+    labels = shards.labels[rows]
+    labels[:, flips] = (model.n_classes - 1) - labels[:, flips]
+
+    current = np.repeat(w[None, :], counts.size, axis=0)
+    velocity = np.zeros_like(current)
+    for epoch in range(epochs):
+        for batch, heights in steps:
+            k = heights.size
+            g = model.grads(current[:k], shards.features[rows[epoch, :k, batch]],
+                            labels[epoch, :k, batch], heights)
             if cfg.clip_norm is not None:
-                norm = np.linalg.norm(g)
-                if norm > cfg.clip_norm:
-                    g = g * (cfg.clip_norm / norm)
-            step = g + cfg.weight_decay * current
-            velocity = cfg.momentum * velocity + step
-            current = current - cfg.learning_rate * velocity
-    return w - current
+                norms = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0, 0]
+                over = norms > cfg.clip_norm
+                g[over] = g[over] * (cfg.clip_norm / norms[over])[:, None]
+            step = g + cfg.weight_decay * current[:k]
+            velocity[:k] = cfg.momentum * velocity[:k] + step
+            current[:k] = current[:k] - cfg.learning_rate * velocity[:k]
+    updates = np.empty_like(current)
+    updates[rank] = w - current
+    return updates
 
 
 def deviation_metric(aggregate_vec: np.ndarray, honest_gradients: np.ndarray) -> float:
@@ -220,7 +270,8 @@ def init_run(cfg: ExperimentConfig, seed: SeedSpec) -> RunState:
                                      dc.r_sep, dc.noise, seed.child("data"),
                                      test_per_class=dc.test_per_class)
     partition = dirichlet_partition(train.labels, cfg.n_clients, dc.beta, seed.child("shards"))
-    shards = [(train.features[idx], train.labels[idx]) for idx in partition.client_indices]
+    shards = ClientShards.from_shards([(train.features[idx], train.labels[idx])
+                                       for idx in partition.client_indices])
     ids = seed.child("byz_identity").generator().permutation(cfg.n_clients)
     byz_ids = frozenset(int(i) for i in ids[: cfg.n_byzantine])
     model = Model(n_classes=dc.n_classes, n_features=dc.n_features, hidden=cfg.hidden)
@@ -233,7 +284,7 @@ def _sample_clients(cfg: ExperimentConfig, state: RunState, t: int) -> np.ndarra
     k = max(1, int(round(cfg.client_sample_ratio * n)))
     rng = state.seed.child("sample", t).generator()
     sampled = np.sort(rng.choice(n, size=k, replace=False))
-    return np.asarray([c for c in sampled if state.shards[c][0].shape[0] > 0], dtype=np.int64)
+    return sampled[state.shards.counts[sampled] > 0].astype(np.int64)
 
 
 def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarray, RoundRecord]:
@@ -248,15 +299,13 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
 
     needs_own = cfg.attack.kind in ("none", "bit_flip", "label_flip")
     train_ids = sampled if needs_own else honest_clients
-    flip = cfg.attack.kind == "label_flip"
     train_seed = state.seed.child("train", t)
-    grads = {cid: local_train(state.model, state.w, *state.shards[cid], cfg.trainer,
-                              train_seed.child("client", cid),
-                              flip_labels=flip and cid in state.byz_ids)
-             for cid in train_ids}
+    updates = local_train(state.model, state.w, state.shards.take(train_ids), cfg.trainer,
+                          [train_seed.child("client", c) for c in train_ids],
+                          flip_labels=byz_mask if cfg.attack.kind == "label_flip" else None)
 
-    honest_matrix = np.stack([grads[c] for c in honest_clients])
-    byz_true = np.stack([grads[c] for c in byz_clients]) if (needs_own and byz_clients.size) else None
+    honest_matrix = updates[~byz_mask] if needs_own else updates
+    byz_true = updates[byz_mask] if (needs_own and byz_clients.size) else None
     ctx = AttackContext(honest_gradients=honest_matrix, byz_count=int(byz_clients.size),
                         byz_true_gradients=byz_true)
     crafted = craft(cfg.attack, ctx, state.seed.child("attack", t))

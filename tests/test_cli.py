@@ -63,6 +63,13 @@ def test_run_missing_config_exits_2(tmp_path):
     ("defense.p", -3, "defense: p "),
     ("defense.partition_policy", "sometimes", "defense: partition_policy"),
     ("defense.s", 0, "defense: s "),
+    ("data.n_classes", 0, "data: n_classes"),
+    ("data.n_features", 0, "data: n_features"),
+    ("data.per_class", 0, "data: per_class"),
+    ("data.test_per_class", 0, "data: test_per_class"),
+    ("data.beta", 0.0, "data: beta"),
+    ("model.hidden", 0, "model: hidden"),
+    ("defense.p", 28, "defense.p must be <= the model dimension 27"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))
@@ -147,6 +154,15 @@ def test_sweep_non_integer_value_for_integer_axis(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--axis", "p",
                  "--values", "1.5", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_sweep_p_above_model_dimension_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--axis", "p",
+                 "--values", "4,28", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "defense.p must be <= the model dimension 27" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_byte_identical_reruns(tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasfl.aggregators import AggregatorSpec
 from gasfl.attacks import AttackSpec
 from gasfl.core import SeedSpec
-from gasfl.data import (SyntheticGradientModel, dirichlet_partition, generate_synthetic)
+from gasfl.data import (ClientShards, SyntheticGradientModel, dirichlet_partition,
+                        generate_synthetic)
 from gasfl.models import Model, finite_difference_grad
+from gasfl.reference import local_train_reference
 from gasfl.simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
                               PlainDefense, TrainerConfig, deviation_metric, inclusion_metrics,
                               init_run, local_train, run_experiment, run_round, run_single)
@@ -105,11 +109,17 @@ def test_model_dim_contract():
 
 # local training -----------------------------------------------------------------
 
+def _train_one(model, w, feats, labels, cfg, seed, flip_labels=False):
+    """The batched trainer on a single client."""
+    shards = ClientShards.from_shards([(feats, labels)])
+    return local_train(model, w, shards, cfg, [seed], np.array([flip_labels]))[0]
+
+
 def test_local_train_zero_lr_returns_zero():
     model = Model(n_classes=3, n_features=4)
     rng = np.random.default_rng(12)
-    delta = local_train(model, rng.standard_normal(model.dim), rng.standard_normal((9, 4)),
-                        rng.integers(0, 3, 9), TrainerConfig(learning_rate=0.0), SeedSpec(1))
+    delta = _train_one(model, rng.standard_normal(model.dim), rng.standard_normal((9, 4)),
+                       rng.integers(0, 3, 9), TrainerConfig(learning_rate=0.0), SeedSpec(1))
     assert np.array_equal(delta, np.zeros(model.dim))
 
 
@@ -120,7 +130,7 @@ def test_local_train_single_step_equals_lr_times_gradient():
     feats, labels = rng.standard_normal((7, 4)), rng.integers(0, 3, 7)
     cfg = TrainerConfig(local_epochs=1, batch_size=32, learning_rate=0.2,
                         momentum=0.0, weight_decay=0.0, clip_norm=None)
-    delta = local_train(model, w, feats, labels, cfg, SeedSpec(2))
+    delta = _train_one(model, w, feats, labels, cfg, SeedSpec(2))
     # w - (w - lr*g) reintroduces one rounding step, so compare at float64 precision
     assert np.allclose(delta, 0.2 * model.grad(w, feats, labels), rtol=1e-12, atol=1e-15)
 
@@ -132,7 +142,7 @@ def test_local_train_clip_bounds_single_step():
     feats, labels = rng.standard_normal((7, 4)) * 50, rng.integers(0, 3, 7)
     cfg = TrainerConfig(local_epochs=1, batch_size=32, learning_rate=1.0,
                         momentum=0.0, weight_decay=0.0, clip_norm=0.5)
-    delta = local_train(model, w, feats, labels, cfg, SeedSpec(2))
+    delta = _train_one(model, w, feats, labels, cfg, SeedSpec(2))
     assert np.linalg.norm(delta) <= 0.5 + 1e-12
 
 
@@ -142,18 +152,60 @@ def test_local_train_label_flip_changes_result():
     w = rng.standard_normal(model.dim)
     feats, labels = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
     cfg = TrainerConfig(local_epochs=1)
-    honest = local_train(model, w, feats, labels, cfg, SeedSpec(3))
-    flipped = local_train(model, w, feats, labels, cfg, SeedSpec(3), flip_labels=True)
+    honest = _train_one(model, w, feats, labels, cfg, SeedSpec(3))
+    flipped = _train_one(model, w, feats, labels, cfg, SeedSpec(3), flip_labels=True)
     assert not np.array_equal(honest, flipped)
-    relabeled = local_train(model, w, feats, 2 - labels, cfg, SeedSpec(3))
+    relabeled = _train_one(model, w, feats, 2 - labels, cfg, SeedSpec(3))
     assert np.array_equal(flipped, relabeled)
 
 
 def test_local_train_empty_shard_rejected():
     model = Model(n_classes=3, n_features=4)
     with pytest.raises(ValueError, match="empty"):
-        local_train(model, np.zeros(model.dim), np.zeros((0, 4)), np.zeros(0, dtype=int),
-                    TrainerConfig(), SeedSpec(0))
+        _train_one(model, np.zeros(model.dim), np.zeros((0, 4)), np.zeros(0, dtype=int),
+                   TrainerConfig(), SeedSpec(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_local_train_matches_reference(data):
+    # ragged shards and batch sizes give several batches per epoch with uneven
+    # tails, and clients that sit out the later steps of an epoch
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6), label="sizes")
+    hidden = data.draw(st.sampled_from([None, 8]), label="hidden")
+    cfg = TrainerConfig(local_epochs=data.draw(st.integers(0, 3), label="local_epochs"),
+                        batch_size=data.draw(st.integers(1, 70), label="batch_size"),
+                        clip_norm=data.draw(st.sampled_from([None, 0.05, 10.0]), label="clip_norm"))
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)),
+                               label="flips"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data_seed"))
+    model = Model(n_classes=4, n_features=5, hidden=hidden)
+    shards = [(3.0 * rng.standard_normal((n, 5)), rng.integers(0, 4, n)) for n in sizes]
+    seeds = [SeedSpec(11).child("client", i) for i in range(len(sizes))]
+    w = rng.standard_normal(model.dim)
+    updates = local_train(model, w, ClientShards.from_shards(shards), cfg, seeds, flips)
+    assert updates.shape == (len(sizes), model.dim)
+    for i, (feats, labels) in enumerate(shards):
+        expected = local_train_reference(model, w, feats, labels, cfg, seeds[i], bool(flips[i]))
+        assert np.array_equal(updates[i], expected), f"client {i} of sizes {sizes}"
+
+
+@pytest.mark.parametrize("hidden", [None, 1, 8])
+def test_stacked_grads_match_grad_per_client(hidden):
+    # one width-1 layer or feature turns products into matrix-vector calls
+    rng = np.random.default_rng(16)
+    for n_features in (1, 7):
+        model = Model(n_classes=3, n_features=n_features, hidden=hidden)
+        counts = np.array([9, 9, 5, 1, 7, 9])
+        ws = rng.standard_normal((counts.size, model.dim))
+        feats = np.zeros((counts.size, 9, n_features))
+        labels = np.zeros((counts.size, 9), dtype=np.int64)
+        for i, n in enumerate(counts):
+            feats[i, :n] = rng.standard_normal((n, n_features))
+            labels[i, :n] = rng.integers(0, 3, n)
+        stacked = model.grads(ws, feats, labels, counts)
+        for i, n in enumerate(counts):
+            assert np.array_equal(stacked[i], model.grad(ws[i], feats[i, :n], labels[i, :n]))
 
 
 # metrics ---------------------------------------------------------------------------
@@ -181,12 +233,9 @@ def test_multi_krum_excludes_separated_outliers_in_round():
                      n=10, f=2, rounds=1)
     state = init_run(cfg, SeedSpec(77))
 
-    import gasfl.simulation as sim
     honest_like = [c for c in range(10) if c not in state.byz_ids]
-    grads = {c: local_train(state.model, state.w, *state.shards[c], cfg.trainer,
-                            state.seed.child("train", 0).child("client", c))
-             for c in honest_like}
-    honest = np.stack([grads[c] for c in honest_like])
+    honest = local_train(state.model, state.w, state.shards.take(honest_like), cfg.trainer,
+                         [state.seed.child("train", 0).child("client", c) for c in honest_like])
     far = honest.mean(axis=0) + 50.0 * np.abs(honest).max()
     uploads = np.empty((10, state.w.size))
     byz_mask = np.array([c in state.byz_ids for c in range(10)])
@@ -267,10 +316,9 @@ def test_honest_gradients_independent_of_attack():
                          defense=PlainDefense(AggregatorSpec("median")))
         state = init_run(cfg, SeedSpec(21))
         honest = [c for c in range(6) if c not in state.byz_ids]
-        deltas[kind] = np.stack([
-            local_train(state.model, state.w, *state.shards[c], cfg.trainer,
-                        state.seed.child("train", 0).child("client", c))
-            for c in honest])
+        deltas[kind] = local_train(state.model, state.w, state.shards.take(honest), cfg.trainer,
+                                   [state.seed.child("train", 0).child("client", c)
+                                    for c in honest])
     assert np.array_equal(deltas["none"], deltas["lie"])
     assert np.array_equal(deltas["none"], deltas["ipm"])
 
