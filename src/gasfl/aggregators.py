@@ -8,6 +8,11 @@ the seeded rules (DnC, bucketing) take an explicit SeedSpec.
 
 All selection ties break toward the lower client index, and equal-value
 order statistics break toward the lower value, so outputs are deterministic.
+Multi-Krum and Bulyan read distances off a Gram matrix
+(`core.pairwise_sq_dists`), whose entries round with the BLAS blocking:
+identical uploads, such as colluding copies, can score an ulp apart, so
+which copy is kept may differ from the lower index. The kept values are
+the same either way.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, mean
+from .core import SeedSpec, as_gradient_matrix, mean, pairwise_sq_dists
 
 KINDS = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
@@ -86,28 +91,33 @@ def coordinate_trimmed_mean(gradients, f: int) -> np.ndarray:
     return np.sort(x, axis=0)[f : n - f].mean(axis=0)
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
-    # score(i) = sum of squared distances to its (n - f - 2) nearest peers
-    n = sq.shape[0]
+    # score(i) = sum of squared distances to its (n - f - 2) nearest peers,
+    # for one (n, n) distance matrix or each matrix of a (groups, n, n) stack
+    n = sq.shape[-1]
     k = max(0, n - f - 2)
-    ordered = np.sort(sq + np.diag(np.full(n, np.inf)), axis=1)
-    return ordered[:, :k].sum(axis=1)
+    ordered = np.sort(sq + np.diag(np.full(n, np.inf)), axis=-1)
+    return ordered[..., :k].sum(axis=-1)
+
+
+def multi_krum_selections(stack: np.ndarray, f: int) -> np.ndarray:
+    """Multi-Krum on each (n, k) matrix of a (groups, n, k) stack at once.
+
+    Returns a (groups, n - f) array: row g holds the ascending indices of
+    the n - f lowest Krum scores of matrix g, ties by lower index. A matrix
+    gets the same selection alone or in any stack.
+    """
+    n = stack.shape[-2]
+    if n < f + 3:
+        raise ValueError(f"multi_krum requires n >= f+3, got n={n}, f={f}")
+    scores = _krum_scores(pairwise_sq_dists(stack), f)
+    chosen = np.argsort(scores, axis=-1, kind="stable")[..., : n - f]
+    return np.sort(chosen, axis=-1)
 
 
 def multi_krum_selection(gradients, f: int) -> np.ndarray:
     """Indices of the n-f lowest Krum-scoring clients, ties by lower index."""
-    x = as_gradient_matrix(gradients)
-    n = x.shape[0]
-    if n < f + 3:
-        raise ValueError(f"multi_krum requires n >= f+3, got n={n}, f={f}")
-    scores = _krum_scores(_pairwise_sq_dists(x), f)
-    chosen = np.argsort(scores, kind="stable")[: n - f]
-    return np.sort(chosen)
+    return multi_krum_selections(as_gradient_matrix(gradients)[None], f)[0]
 
 
 def multi_krum(gradients, f: int) -> np.ndarray:
@@ -121,7 +131,7 @@ def bulyan_selection(gradients, f: int) -> np.ndarray:
     n = x.shape[0]
     if n < 4 * f + 2:
         raise ValueError(f"bulyan requires n >= 4f+2, got n={n}, f={f}")
-    sq = _pairwise_sq_dists(x)
+    sq = pairwise_sq_dists(x)
     pool = list(range(n))
     chosen: list[int] = []
     for _ in range(n - 2 * f):
@@ -319,8 +329,7 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
         direction /= max(np.linalg.norm(direction), 1e-300)
         adv = np.tile(center + adversary_scale * direction, (f, 1))
         points = np.vstack([honest, adv]) if f else honest
-        diff = honest[:, None, :] - honest[None, :, :]
-        max_dist = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        max_dist = float(np.sqrt(pairwise_sq_dists(honest).max()))
         if max_dist == 0.0:
             skipped += 1
             continue
@@ -335,6 +344,7 @@ __all__ = [
     "AggregatorSpec", "ResilienceReport", "KINDS",
     "aggregate", "aggregate_with_selection", "bucketing_wrap",
     "coordinate_median", "coordinate_trimmed_mean", "multi_krum", "multi_krum_selection",
+    "multi_krum_selections",
     "bulyan", "bulyan_selection", "geometric_median", "dnc", "dnc_survivors",
     "estimate_resilience", "mean",
 ]

@@ -5,6 +5,10 @@ the f Byzantine uploads. The statistics-based attacks (lie, min_max, min_sum,
 ipm) collude: all f uploads are identical. bit_flip and label_flip act on the
 Byzantine clients' own training instead; label flipping happens inside local
 training, so its crafted vectors pass through unchanged here.
+
+min_max and min_sum read the honest pairwise distances off one Gram matrix
+(`core.pairwise_sq_dists`) and search their step size in O(n) per probe,
+so their memory is O(n^2 + n d), never (n, n, d).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix
+from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists
 
 KINDS = ("none", "bit_flip", "label_flip", "lie", "min_max", "min_sum", "ipm")
 
@@ -84,10 +88,11 @@ def min_max(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
     mu, delta = x.mean(axis=0), x.std(axis=0)
     if not delta.any():
         return mu
-    bound = _max_pairwise_distance(x)
+    bound = float(pairwise_sq_dists(x).max())
+    sq_dists = _sq_dists_along(x, mu, delta)
 
     def feasible(gamma: float) -> bool:
-        return float(np.linalg.norm(x - (mu - gamma * delta), axis=1).max()) <= bound
+        return float(sq_dists(gamma).max()) <= bound
 
     return mu - _largest_feasible_gamma(feasible, gamma_init, tau) * delta
 
@@ -98,14 +103,28 @@ def min_sum(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
     mu, delta = x.mean(axis=0), x.std(axis=0)
     if not delta.any():
         return mu
-    diff = x[:, None, :] - x[None, :, :]
-    bound = float(np.einsum("ijk,ijk->ij", diff, diff).sum(axis=1).max())
+    bound = float(pairwise_sq_dists(x).sum(axis=1).max())
+    sq_dists = _sq_dists_along(x, mu, delta)
 
     def feasible(gamma: float) -> bool:
-        point = mu - gamma * delta
-        return float(((x - point) ** 2).sum()) <= bound
+        return float(sq_dists(gamma).sum()) <= bound
 
     return mu - _largest_feasible_gamma(feasible, gamma_init, tau) * delta
+
+
+def _sq_dists_along(x: np.ndarray, mu: np.ndarray,
+                    delta: np.ndarray) -> Callable[[float], np.ndarray]:
+    """gamma -> squared distances from each row of x to mu - gamma * delta.
+
+    With c_i = x_i - mu, |c_i + gamma delta|^2 = a_i + gamma (2 b_i + gamma
+    |delta|^2), where a_i = |c_i|^2 and b_i = c_i . delta are computed once,
+    so each step of the gamma search costs O(n), not O(n d).
+    """
+    c = x - mu
+    a = np.einsum("ij,ij->i", c, c)
+    b = c @ delta
+    dd = float(delta @ delta)
+    return lambda gamma: a + gamma * (2.0 * b + gamma * dd)
 
 
 def ipm(honest, epsilon: float = 0.5) -> np.ndarray:
@@ -158,11 +177,6 @@ def _require_honest(honest, minimum: int, name: str) -> np.ndarray:
     if x.shape[0] < minimum:
         raise ValueError(f"{name} needs at least {minimum} honest gradients, got {x.shape[0]}")
     return x
-
-
-def _max_pairwise_distance(x: np.ndarray) -> float:
-    diff = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
 
 
 __all__ = ["AttackSpec", "AttackContext", "KINDS", "craft", "lie", "min_max", "min_sum", "ipm", "bit_flip"]

@@ -10,6 +10,7 @@ every shard in one pair of arrays, the layout batched local training reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,18 +92,27 @@ class SyntheticGradientModel:
     base_norm: float = 1.0
 
     def client_means(self) -> np.ndarray:
+        """(n_honest, dim) fixed per-client means, drawn once per instance; read-only."""
+        return self._client_means
+
+    @cached_property
+    def _client_means(self) -> np.ndarray:
         rng = self.seed.child("client_means").generator()
         base = rng.standard_normal(self.dim)
         base *= self.base_norm / max(np.linalg.norm(base), 1e-300)
         shifts = rng.standard_normal((self.n_honest, self.dim))
         shifts *= self.kappa / np.maximum(np.linalg.norm(shifts, axis=1, keepdims=True), 1e-300)
-        return base + shifts
+        means = base + shifts
+        means.flags.writeable = False
+        return means
 
     def sample_round(self, round: int) -> np.ndarray:
         """(n_honest, dim) honest gradients for one round."""
         rng = self.seed.child("round_noise", round).generator()
-        noise = rng.standard_normal((self.n_honest, self.dim)) * (self.sigma / np.sqrt(self.dim))
-        return self.client_means() + noise
+        noise = rng.standard_normal((self.n_honest, self.dim))
+        noise *= self.sigma / np.sqrt(self.dim)
+        noise += self.client_means()
+        return noise
 
 
 def generate_synthetic(n_classes: int, dim: int, per_class: int, r_sep: float,

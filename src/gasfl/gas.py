@@ -9,10 +9,13 @@ the honest signal.
 
 A coordinate-wise base rule (mean, median, trimmed mean) gives each group the
 same aggregate whether it runs per group or once on the full matrix, so it
-runs once; the other rules run group by group. Either way the per-group
-aggregates form one length-d center, and all p group scores come from one
-pass over the residual to it. `group_scores` is the one-group form, kept as
-the straight-line reference.
+runs once. Multi-Krum runs on all groups at once: group sizes differ by at
+most one, so the groups form at most two (groups, n, size) stacks, each
+scored with one batched Gram product, and a group gets the same selection
+as it would alone. Bulyan, geometric median and DnC run group by group.
+Either way the per-group aggregates form one length-d center, and all p
+group scores come from one pass over the residual to it. `group_scores` is
+the one-group form, kept as the straight-line reference.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate
+from .aggregators import AggregatorSpec, _check_shared, aggregate, multi_krum_selections
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
 
 # Base rules whose output at each coordinate depends only on that coordinate.
@@ -123,26 +126,35 @@ def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
     return n - removed, removed
 
 
+def _group_blocks(partition: IndexPartition):
+    """The groups as at most two (groups, size) index arrays, in group order.
+
+    Group sizes differ by at most one, and the groups of the larger size
+    come first.
+    """
+    lo = partition.d // partition.p
+    split = (partition.d - lo * partition.p) * (lo + 1)
+    for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
+        if cols.size:
+            yield cols.reshape(-1, size)
+
+
 def _group_norms(x: np.ndarray, center: np.ndarray, partition: IndexPartition) -> np.ndarray:
     """(p, n) table: row q holds each client's l2 distance to `center` over group q.
 
     Bit-identical to `group_scores` on `x[:, subset]`: numpy returns that
     sub-matrix column-major, so its row norms add the squared coordinates one
-    at a time in ascending order, not pairwise. Group sizes differ by at most
-    one, so the groups form at most two C-ordered (size, groups, n) stacks,
-    and reducing a stack over its leading axis adds coordinates in that same
-    order. Together the stacks hold one (n, d) buffer.
+    at a time in ascending order, not pairwise. The groups form at most two
+    C-ordered (size, groups, n) stacks, and reducing a stack over its leading
+    axis adds coordinates in that same order. Together the stacks hold one
+    (n, d) buffer.
     """
-    lo = partition.d // partition.p
-    split = (partition.d - lo * partition.p) * (lo + 1)  # the groups of lo + 1 come first
     blocks = []
-    for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
-        if cols.size:
-            idx = cols.reshape(-1, size).T
-            sq = np.take(x.T, idx, axis=0)
-            sq -= center[idx][:, :, None]
-            sq *= sq
-            blocks.append(np.sqrt(np.add.reduce(sq, axis=0)))
+    for idx in _group_blocks(partition):
+        sq = np.take(x.T, idx.T, axis=0)
+        sq -= center[idx.T][:, :, None]
+        sq *= sq
+        blocks.append(np.sqrt(np.add.reduce(sq, axis=0)))
     return np.concatenate(blocks)
 
 
@@ -153,8 +165,9 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     The coordinate partition is resampled per round (or held fixed, per
     `config.partition_policy`) from seeds derived off `config.seed`, so the
     call is a pure function of (config, gradients, round). A separable base
-    rule runs once on the full matrix; any other runs once per group, seeded
-    per group. Totals are summed in ascending group order.
+    rule runs once on the full matrix, Multi-Krum once per stack of equal-size
+    groups, and any other rule once per group, seeded per group. Totals are
+    summed in ascending group order.
     """
     x = as_gradient_matrix(gradients)
     n, d = x.shape
@@ -174,6 +187,15 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         # column-major, like each x[:, subset]: every coordinate then reduces
         # over clients in the same order as it would within its own group
         center = aggregate(config.base, np.asfortranarray(x), base_f)
+    elif config.base.kind == "multi_krum":
+        _check_shared(x, base_f)  # the precondition `aggregate` checks per group
+        center = np.empty(d)
+        for idx in _group_blocks(partition):
+            stack = np.ascontiguousarray(np.take(x, idx, axis=1).transpose(1, 0, 2))
+            kept = multi_krum_selections(stack, base_f)
+            # C-ordered (groups, n - f, size) rows, averaged in client order
+            # like the rows `aggregate` averages for a single group
+            center[idx] = np.take_along_axis(stack, kept[:, :, None], axis=1).mean(axis=1)
     else:
         round_seed = config.seed.child("round", round)
         center = np.empty(d)

@@ -291,7 +291,7 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
     """Execute round t and return (new parameter vector, metrics record)."""
     started = time.perf_counter()
     sampled = _sample_clients(cfg, state, t)
-    byz_mask = np.asarray([c in state.byz_ids for c in sampled])
+    byz_mask = np.isin(sampled, list(state.byz_ids))
     honest_clients = sampled[~byz_mask]
     byz_clients = sampled[byz_mask]
     if honest_clients.size == 0:

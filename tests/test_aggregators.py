@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gasfl import reference as ref
-from gasfl.aggregators import (AggregatorSpec, aggregate, aggregate_with_selection,
+from gasfl.aggregators import (AggregatorSpec, _krum_scores, aggregate, aggregate_with_selection,
                                bucketing_wrap, bulyan, bulyan_selection, coordinate_median,
                                coordinate_trimmed_mean, dnc, dnc_survivors, estimate_resilience,
                                geometric_median, multi_krum, multi_krum_selection)
-from gasfl.core import SeedSpec
+from gasfl.core import SeedSpec, pairwise_sq_dists
 
 
 def _rand(seed, n, d, scale=2.0):
@@ -86,8 +86,7 @@ def test_multi_krum_constraint():
 
 def test_multi_krum_matches_brute_force():
     x = _rand(6, 6, 3)
-    from gasfl.aggregators import _krum_scores, _pairwise_sq_dists
-    assert np.abs(_krum_scores(_pairwise_sq_dists(x), 1)
+    assert np.abs(_krum_scores(pairwise_sq_dists(x), 1)
                   - ref.krum_scores_reference(x, 1)).max() <= 1e-12
     assert np.abs(multi_krum(x, 1) - ref.multi_krum_reference(x, 1)).max() <= 1e-12
 
@@ -278,8 +277,7 @@ def test_oracle_equivalence_thousand_instances():
         f = int(rng.integers(0, (n - 2) // 4 + 1))
         assert np.abs(coordinate_median(x) - ref.median_reference(x)).max() <= 1e-12
         assert np.abs(coordinate_trimmed_mean(x, f) - ref.trimmed_mean_reference(x, f)).max() <= 1e-12
-        from gasfl.aggregators import _krum_scores, _pairwise_sq_dists
-        assert np.abs(_krum_scores(_pairwise_sq_dists(x), f)
+        assert np.abs(_krum_scores(pairwise_sq_dists(x), f)
                       - ref.krum_scores_reference(x, f)).max() <= 1e-12
         assert np.array_equal(bulyan_selection(x, f), ref.bulyan_selection_reference(x, f))
         assert np.abs(bulyan(x, f) - ref.bulyan_reference(x, f)).max() <= 1e-12

@@ -108,18 +108,25 @@ def test_min_max_identical_honest_returns_mean():
     assert np.array_equal(min_sum(honest), [1.0, -3.0])
 
 
+def _honest_draws(seed):
+    """1000 small instances (d <= 4), then 20 with d up to 1e4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        yield rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(1, 5))))
+    wide = np.random.default_rng(seed + 1000)
+    for _ in range(20):
+        d = int(np.exp(wide.uniform(np.log(5), np.log(1e4))))
+        yield wide.standard_normal((int(wide.integers(2, 9)), d)) + wide.uniform(-3, 3)
+
+
 def test_min_max_constraint_satisfied():
-    rng = np.random.default_rng(12)
-    for k in range(1000):
-        honest = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(1, 5))))
+    for honest in _honest_draws(12):
         out = min_max(honest)
         assert np.linalg.norm(honest - out, axis=1).max() <= _max_pairwise(honest) + 1e-6
 
 
 def test_min_sum_constraint_satisfied():
-    rng = np.random.default_rng(13)
-    for k in range(1000):
-        honest = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(1, 5))))
+    for honest in _honest_draws(13):
         out = min_sum(honest)
         diff = honest[:, None, :] - honest[None, :, :]
         bound = np.einsum("ijk,ijk->ij", diff, diff).sum(axis=1).max()

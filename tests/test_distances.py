@@ -1,0 +1,137 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasfl import attacks
+from gasfl.aggregators import (AggregatorSpec, bulyan_selection, estimate_resilience,
+                               multi_krum_selection)
+from gasfl.core import SeedSpec, pairwise_sq_dists
+
+
+def _direct_sq_dists(x):
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@st.composite
+def point_sets(draw, n_min=2, n_max=12, k_max=24):
+    """(n, k) points: random rows, optionally far from the origin and with repeats."""
+    n = draw(st.integers(n_min, n_max), label="n")
+    k = draw(st.integers(1, k_max), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal((n, k)) * draw(st.sampled_from([1e-3, 1.0, 50.0]), label="scale")
+    x += draw(st.sampled_from([0.0, 1e3, -1e3]), label="offset")
+    repeats = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                            max_size=3), label="repeats")
+    for src, dst in repeats:
+        x[dst] = x[src]
+    return x
+
+
+# the Gram-form helper -----------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(x=point_sets())
+def test_gram_distances_match_difference_form(x):
+    fast = pairwise_sq_dists(x)
+    direct = _direct_sq_dists(x)
+    # the Gram form rounds relative to the squared row norms about the centroid
+    c = x - x.mean(axis=0)
+    scale = float(np.einsum("ij,ij->i", c, c).max())
+    assert np.abs(fast - direct).max() <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=point_sets())
+def test_gram_distances_symmetric_nonnegative_zero_diagonal(x):
+    sq = pairwise_sq_dists(x)
+    assert sq.shape == (x.shape[0], x.shape[0])
+    assert np.array_equal(sq, sq.T)
+    assert (sq >= 0).all()
+    assert (np.diag(sq) == 0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=st.integers(1, 6), x=point_sets(n_min=3))
+def test_gram_distances_same_alone_or_stacked(groups, x):
+    n, k = x.shape
+    rng = np.random.default_rng(groups)
+    stack = np.stack([x] + [rng.standard_normal((n, k)) for _ in range(groups - 1)])
+    stacked = pairwise_sq_dists(stack)
+    for g in range(groups):
+        assert np.array_equal(stacked[g], pairwise_sq_dists(stack[g]))
+    # a column-major matrix, like a group split off a gradient matrix
+    assert np.array_equal(pairwise_sq_dists(np.asfortranarray(x)), stacked[0])
+
+
+# the rules it feeds -------------------------------------------------------------
+
+@st.composite
+def distinct_points(draw, n_min, n_max):
+    """Rows in general position, a translation and a row permutation."""
+    n = draw(st.integers(n_min, n_max), label="n")
+    k = draw(st.integers(1, 24), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal((n, k)) * draw(st.sampled_from([1e-2, 1.0, 30.0]), label="scale")
+    shift = rng.standard_normal(k) * draw(st.sampled_from([1.0, 1e3]), label="shift")
+    return x, shift, rng.permutation(n)
+
+
+# Krum over k = 1 nearest peers ties exactly: two mutual nearest neighbours
+# score the same distance, and the lower index wins. Permutation invariance
+# therefore holds only when every Krum scoring sums k >= 2 distances.
+
+@settings(max_examples=200, deadline=None)
+@given(data=distinct_points(n_min=4, n_max=12), f_share=st.floats(0.0, 1.0))
+def test_multi_krum_selection_translation_and_permutation_invariant(data, f_share):
+    x, shift, perm = data
+    n = x.shape[0]
+    f = int(f_share * min(n - 3, (n - 1) // 2))
+    sel = multi_krum_selection(x, f)
+    assert np.array_equal(multi_krum_selection(x + shift, f), sel)
+    if n - f - 2 >= 2:
+        assert np.array_equal(np.sort(perm[multi_krum_selection(x[perm], f)]), sel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=distinct_points(n_min=6, n_max=20), f_share=st.floats(0.0, 1.0))
+def test_bulyan_selection_translation_and_permutation_invariant(data, f_share):
+    x, shift, perm = data
+    n = x.shape[0]
+    f = int(f_share * ((n - 2) // 4))
+    sel = bulyan_selection(x, f)
+    assert np.array_equal(bulyan_selection(x + shift, f), sel)
+    # the pool shrinks to 2f + 1 clients, scored over f - 1 peers; with f = 0
+    # every client is picked, whatever the ties
+    if f == 0 or f >= 3:
+        assert np.array_equal(np.sort(perm[bulyan_selection(x[perm], f)]), sel)
+
+
+# memory stays bounded in d -------------------------------------------------------
+
+N, D, F = 50, 5000, 10
+MEMORY_CASES = {
+    "min_max": lambda x: attacks.min_max(x),
+    "min_sum": lambda x: attacks.min_sum(x),
+    "multi_krum_selection": lambda x: multi_krum_selection(x, F),
+    "bulyan_selection": lambda x: bulyan_selection(x, F),
+    # draws its own (N, D) points
+    "estimate_resilience": lambda x: estimate_resilience(AggregatorSpec("multi_krum"), N, F, D,
+                                                         1, SeedSpec(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_peak_memory_is_a_small_multiple_of_the_input(name):
+    # an (n, n, d) difference tensor would be N = 50 times the input
+    x = np.random.default_rng(1).standard_normal((N, D))
+    tracemalloc.start()
+    try:
+        MEMORY_CASES[name](x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes, f"{name} peaked at {peak / x.nbytes:.1f}x its input"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,6 +339,20 @@ def test_run_round_rejects_nan_uploads(monkeypatch):
         run_round(state, cfg, 0)
 
 
+def test_run_round_without_sampled_data_is_a_value_error():
+    # 36 of 50 shards are empty; round 1 samples one client and it has no
+    # data, so no client trains and the round must fail with a ValueError
+    cfg = ExperimentConfig(n_clients=50, n_byzantine=10, rounds=2, attack=AttackSpec("none"),
+                           defense=PlainDefense(AggregatorSpec("mean")),
+                           data=dataclasses.replace(DataConfig(), per_class=2),
+                           client_sample_ratio=0.02, repeats=1, master_seed=0)
+    state = init_run(cfg, SeedSpec(0).child("repeat", 0))
+    assert int((state.shards.counts == 0).sum()) == 36
+    state.w, _ = run_round(state, cfg, 0)
+    with pytest.raises(ValueError, match="round 1: no honest client sampled"):
+        run_round(state, cfg, 1)
+
+
 def test_bucketed_defense_runs():
     cfg = _small_cfg(attack="lie", n=9, f=2, rounds=2,
                      defense=BucketedDefense(AggregatorSpec("median"), s=2))
@@ -404,6 +420,10 @@ def test_synthetic_gradient_model_geometry():
     # every client mean sits exactly kappa from the shared base direction
     rng_means = model.client_means()
     assert np.array_equal(means, rng_means)
+    # drawn once per instance and shared read-only; an equal model redraws the same means
+    assert rng_means is means and not means.flags.writeable
+    same = SyntheticGradientModel(dim=64, n_honest=12, kappa=1.0, sigma=0.5, seed=SeedSpec(40))
+    assert np.array_equal(same.client_means(), means)
     g1 = model.sample_round(3)
     g2 = model.sample_round(3)
     assert np.array_equal(g1, g2)

@@ -135,25 +135,33 @@ def test_gas_fixed_partition_policy():
     assert all(np.array_equal(p, q) for p, q in zip(a[3].subsets, c[3].subsets))
 
 
+def _assert_matches_per_group_path(x, cfg, f, rnd):
+    n = x.shape[0]
+    agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
+    round_seed = cfg.seed.child("round", rnd)
+    expected = np.empty((n, part.p))
+    totals = np.zeros(n)
+    for q, subset in enumerate(part.subsets):
+        _, expected[:, q] = group_scores(x[:, subset], cfg.base, f,
+                                         seed=round_seed.child("group", q))
+        totals += expected[:, q]
+    assert np.array_equal(table.group_scores, expected), (part.p, cfg.base.kind)
+    assert np.array_equal(table.totals, totals), (part.p, cfg.base.kind)
+    assert np.array_equal(sel.selected, select_clients(totals, n - f).selected)
+    assert np.array_equal(agg, x[sel.selected].mean(axis=0))
+
+
 def test_gas_scores_match_per_group_path():
     # the one-pass scoring equals scoring group by group with group_scores
     n, d, f, rnd = 12, 30, 2, 2
     x = _rand(10, n, d)
     for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
         for base in ("median", "mean", "trimmed_mean", "multi_krum"):
-            cfg = _cfg(p=p, base=base, selection=KnownF(f))
-            agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
-            round_seed = cfg.seed.child("round", rnd)
-            expected = np.empty((n, p))
-            totals = np.zeros(n)
-            for q, subset in enumerate(part.subsets):
-                _, expected[:, q] = group_scores(x[:, subset], cfg.base, f,
-                                                 seed=round_seed.child("group", q))
-                totals += expected[:, q]
-            assert np.array_equal(table.group_scores, expected), (p, base)
-            assert np.array_equal(table.totals, totals), (p, base)
-            assert np.array_equal(sel.selected, select_clients(totals, n - f).selected)
-            assert np.array_equal(agg, x[sel.selected].mean(axis=0))
+            _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(f)), f, rnd)
+    # group-batched Krum at a wide_server-like shape: 10007 = 100 * 100 + 7,
+    # so 7 groups of 101 and 93 groups of 100 coordinates
+    x = _rand(15, 50, 10007)
+    _assert_matches_per_group_path(x, _cfg(p=100, base="multi_krum", selection=KnownF(10)), 10, 4)
 
 
 def test_gas_permutation_equivariance_fixed_partition():
