@@ -10,8 +10,7 @@ from .aggregators import (AggregatorSpec, ResilienceReport, aggregate, bucketing
                           bulyan, coordinate_median, coordinate_trimmed_mean, dnc,
                           estimate_resilience, geometric_median, multi_krum)
 from .attacks import AttackContext, AttackSpec, craft
-from .core import (IndexPartition, SeedSpec, extract_subvector, l2_norm, make_partition,
-                   mean)
+from .core import IndexPartition, SeedSpec, make_partition, mean
 from .data import (ClientShards, DirichletPartition, SyntheticDataset, SyntheticGradientModel,
                    dirichlet_partition, generate_synthetic)
 from .gas import GasConfig, KnownF, Ratio, ScoreTable, SelectionResult, gas_aggregate

@@ -47,13 +47,13 @@ class AggregatorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown aggregator kind {self.kind!r}, expected one of {KINDS}")
+            raise ValueError(f"kind {self.kind!r} is an unknown aggregator kind, expected one of {KINDS}")
         if self.iters < 1:
-            raise ValueError("geometric_median iteration count must be >= 1")
+            raise ValueError(f"iters must be >= 1, got {self.iters}")
         if self.eps <= 0:
-            raise ValueError("geometric_median smoothing must be positive")
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.b < 1:
-            raise ValueError("dnc coordinate sample size must be >= 1")
+            raise ValueError(f"b must be >= 1, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,12 @@ def multi_krum_selections(stack: np.ndarray, f: int) -> np.ndarray:
 
 
 def multi_krum_selection(gradients, f: int) -> np.ndarray:
-    """Indices of the n-f lowest Krum-scoring clients, ties by lower index."""
+    """Indices of the n-f lowest Krum-scoring clients, ties by lower index.
+
+    At the smallest allowed n = f + 3 each score sums a single peer, so
+    mutual nearest neighbours tie exactly and the result depends on
+    client order.
+    """
     return multi_krum_selections(as_gradient_matrix(gradients)[None], f)[0]
 
 
@@ -126,7 +131,13 @@ def multi_krum(gradients, f: int) -> np.ndarray:
 
 
 def bulyan_selection(gradients, f: int) -> np.ndarray:
-    """First Bulyan stage: iterated Krum picks, n-2f of them, pool shrinking."""
+    """First Bulyan stage: iterated Krum picks, n-2f of them, pool shrinking.
+
+    Ties go to the lower index. A pick from a pool of m clients scores
+    over m - f - 2 peers and the last pool holds 2f + 1, so for f in
+    {1, 2} mutual nearest neighbours tie exactly and the selection
+    depends on client order.
+    """
     x = as_gradient_matrix(gradients)
     n = x.shape[0]
     if n < 4 * f + 2:

@@ -41,9 +41,11 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}, expected one of {KINDS}")
-        if self.tau <= 0 or self.gamma_init <= 0:
-            raise ValueError("gamma_init and tau must be positive")
+            raise ValueError(f"kind {self.kind!r} is an unknown attack kind, expected one of {KINDS}")
+        if self.gamma_init <= 0:
+            raise ValueError(f"gamma_init must be positive, got {self.gamma_init}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass(frozen=True)

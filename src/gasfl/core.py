@@ -171,19 +171,6 @@ def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
     return IndexPartition(order=order, offsets=offsets, d=d, p=p)
 
 
-def extract_subvector(g: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sub-vector of g at the given indices, in ascending index order."""
-    g = as_gradient(g)
-    idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= g.shape[0]):
-        raise ValueError(f"index out of range for dimension {g.shape[0]}")
-    return g[np.sort(idx)]
-
-
 def mean(gradients: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Coordinate-wise arithmetic mean of a nonempty list of gradients."""
     return as_gradient_matrix(gradients).mean(axis=0)
-
-
-def l2_norm(g: np.ndarray) -> float:
-    return float(np.linalg.norm(as_gradient(g)))

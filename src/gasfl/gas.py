@@ -51,7 +51,7 @@ class Ratio:
 
     def __post_init__(self):
         if not 0.0 <= self.delta < 0.5:
-            raise ValueError(f"removal ratio must lie in [0, 0.5), got delta={self.delta}")
+            raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
 
 
 Selection = Union[KnownF, Ratio]
@@ -70,9 +70,10 @@ class GasConfig:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError(f"group count must be >= 1, got p={self.p}")
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.partition_policy not in PARTITION_POLICIES:
-            raise ValueError(f"unknown partition policy {self.partition_policy!r}")
+            raise ValueError(f"partition_policy must be one of {PARTITION_POLICIES}, "
+                             f"got {self.partition_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,6 @@ def group_scores(sub_vectors, base: AggregatorSpec, f: int,
     sub = as_gradient_matrix(sub_vectors)
     agg = aggregate(base, sub, f, seed=seed)
     return agg, np.linalg.norm(sub - agg, axis=1)
-
-
-def total_scores(table: ScoreTable) -> np.ndarray:
-    """Row sums of the score table, accumulated in ascending group order."""
-    return np.ascontiguousarray(table.group_scores.T).sum(axis=0)
 
 
 def select_clients(totals: np.ndarray, keep_count: int) -> SelectionResult:
@@ -211,5 +207,5 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
 
 __all__ = [
     "PARTITION_POLICIES", "GasConfig", "KnownF", "Ratio", "ScoreTable", "SelectionResult",
-    "group_scores", "total_scores", "select_clients", "gas_aggregate",
+    "group_scores", "select_clients", "gas_aggregate",
 ]

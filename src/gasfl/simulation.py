@@ -106,13 +106,16 @@ class GasDefense:
     partition_policy: str = "per_round"
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.selection_mode not in ("known_f", "ratio"):
             raise ValueError(f"selection_mode must be 'known_f' or 'ratio', got {self.selection_mode!r}")
-        if self.partition_policy not in gas_mod.PARTITION_POLICIES:
-            raise ValueError(f"partition_policy must be one of {gas_mod.PARTITION_POLICIES}, "
-                             f"got {self.partition_policy!r}")
+        self.gas_config(0, SeedSpec(0))  # runs the p, delta and partition_policy checks
+
+    def gas_config(self, f_round: int, seed: SeedSpec) -> gas_mod.GasConfig:
+        """The round's GasConfig, keeping n - f_round clients in known_f mode."""
+        ratio = gas_mod.Ratio(self.delta)
+        selection = gas_mod.KnownF(f_round) if self.selection_mode == "known_f" else ratio
+        return gas_mod.GasConfig(p=self.p, base=self.base, selection=selection, seed=seed,
+                                 partition_policy=self.partition_policy)
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0 <= self.n_byzantine < self.n_clients / 2:
-            raise ValueError(
-                f"Byzantine count must satisfy 0 <= f < n/2, got n={self.n_clients}, f={self.n_byzantine}")
+            raise ValueError(f"n_byzantine must satisfy 0 <= f < n/2, "
+                             f"got n={self.n_clients}, f={self.n_byzantine}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0 < self.client_sample_ratio <= 1:
-            raise ValueError("client_sample_ratio must lie in (0, 1]")
-        if self.rounds < 1 or self.repeats < 1:
-            raise ValueError("rounds and repeats must be >= 1")
-        if isinstance(self.defense, GasDefense):
-            dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim
-            if self.defense.p > dim:
-                raise ValueError(f"defense.p must be <= the model dimension {dim}, "
-                                 f"got {self.defense.p}")
+            raise ValueError(f"client_sample_ratio must lie in (0, 1], got {self.client_sample_ratio}")
+        dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
+        if isinstance(self.defense, GasDefense) and self.defense.p > dim:
+            raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
 
 
 @dataclass(frozen=True)
@@ -337,10 +340,7 @@ def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
         if isinstance(defense, PlainDefense):
             return aggregate_with_selection(defense.base, uploads, f_round, seed.child("agr", t))
         if isinstance(defense, GasDefense):
-            selection = (gas_mod.KnownF(f_round) if defense.selection_mode == "known_f"
-                         else gas_mod.Ratio(defense.delta))
-            gcfg = gas_mod.GasConfig(p=defense.p, base=defense.base, selection=selection,
-                                     seed=seed.child("gas"), partition_policy=defense.partition_policy)
+            gcfg = defense.gas_config(f_round, seed.child("gas"))
             agg, _, result, _ = gas_mod.gas_aggregate(gcfg, uploads, round=t)
             return agg, result.selected
         if isinstance(defense, BucketedDefense):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from gasfl.aggregators import KINDS as AGR_KINDS
+from gasfl.attacks import KINDS as ATTACK_KINDS
 from gasfl.cli import main
 from gasfl.config import ConfigError, emit_config, emit_json, manifest_to_dict, make_manifest, parse_config
 
@@ -55,20 +57,26 @@ def test_run_missing_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("path, value, needle", [
-    ("trainer.clip_norm", -1.0, "trainer: clip_norm"),
-    ("trainer.batch_size", 0, "trainer: batch_size"),
-    ("attack.tau", 0.0, "attack: "),
-    ("defense.base.iters", 0, "defense.base: "),
-    ("defense.p", 0, "defense: p "),
-    ("defense.p", -3, "defense: p "),
-    ("defense.partition_policy", "sometimes", "defense: partition_policy"),
-    ("defense.s", 0, "defense: s "),
-    ("data.n_classes", 0, "data: n_classes"),
-    ("data.n_features", 0, "data: n_features"),
-    ("data.per_class", 0, "data: per_class"),
-    ("data.test_per_class", 0, "data: test_per_class"),
-    ("data.beta", 0.0, "data: beta"),
-    ("model.hidden", 0, "model: hidden"),
+    ("trainer.clip_norm", -1.0, "trainer.clip_norm: clip_norm"),
+    ("trainer.batch_size", 0, "trainer.batch_size: batch_size"),
+    ("attack.tau", 0.0, "attack.tau: tau "),
+    ("attack.gamma_init", 0.0, "attack.gamma_init: gamma_init "),
+    ("defense.base.iters", 0, "defense.base.iters: iters"),
+    ("defense.base.eps", 0.0, "defense.base.eps: eps "),
+    ("defense.base.b", 0, "defense.base.b: b "),
+    ("defense.p", 0, "defense.p: p "),
+    ("defense.p", -3, "defense.p: p "),
+    ("defense.partition_policy", "sometimes", "defense.partition_policy: partition_policy"),
+    ("defense.delta", 0.5, "defense.delta: delta "),
+    ("defense.s", 0, "defense.s: s "),
+    ("data.n_classes", 0, "data.n_classes: n_classes"),
+    ("data.n_features", 0, "data.n_features: n_features"),
+    ("data.per_class", 0, "data.per_class: per_class"),
+    ("data.test_per_class", 0, "data.test_per_class: test_per_class"),
+    ("data.beta", 0.0, "data.beta: beta"),
+    ("model.hidden", 0, "model.hidden: hidden"),
+    ("experiment.repeats", 0, "experiment.repeats: repeats "),
+    ("experiment.client_sample_ratio", 0.0, "experiment.client_sample_ratio: client_sample_ratio "),
     ("defense.p", 28, "defense.p must be <= the model dimension 27"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
@@ -233,6 +241,142 @@ def test_config_roundtrip_canonical(tmp_path):
     assert emit_config(parse_config(canonical)) == canonical
 
 
+# Only the required fields: every other field is emitted at its dataclass default.
+MINIMAL_CONFIG = {
+    "experiment": {"n_clients": 50, "n_byzantine": 10, "rounds": 200},
+    "attack": {"kind": "lie"},
+    "defense": {"kind": "gas", "base": {"kind": "median"}, "p": 650},
+}
+
+
+def _canonical(section_lines: dict[str, str]) -> str:
+    return "{\n" + ",\n".join(section_lines.values()) + "\n}\n"
+
+
+_MINIMAL_SECTIONS = {
+    "attack": '''  "attack": {
+    "epsilon": 0.5,
+    "gamma_init": 10.0,
+    "kind": "lie",
+    "tau": 1e-05,
+    "z": 1.5
+  }''',
+    "data": '''  "data": {
+    "beta": 0.5,
+    "n_classes": 10,
+    "n_features": 64,
+    "noise": 1.75,
+    "per_class": 50,
+    "r_sep": 7.0,
+    "test_per_class": 1000
+  }''',
+    "defense": '''  "defense": {
+    "base": {
+      "b": 10000,
+      "c": 4.0,
+      "eps": 1e-08,
+      "iters": 3,
+      "kind": "median",
+      "niters": 1
+    },
+    "delta": 0.1,
+    "kind": "gas",
+    "p": 650,
+    "partition_policy": "per_round",
+    "selection_mode": "known_f"
+  }''',
+    "experiment": '''  "experiment": {
+    "client_sample_ratio": 1.0,
+    "master_seed": 0,
+    "n_byzantine": 10,
+    "n_clients": 50,
+    "repeats": 5,
+    "rounds": 200
+  }''',
+    "model": '''  "model": {
+    "hidden": null,
+    "init_scale": 0.3
+  }''',
+    "trainer": '''  "trainer": {
+    "batch_size": 64,
+    "clip_norm": 2.0,
+    "learning_rate": 0.1,
+    "local_epochs": 5,
+    "momentum": 0.5,
+    "weight_decay": 0.0001
+  }''',
+}
+
+_SMALL_SECTIONS = {
+    "attack": _MINIMAL_SECTIONS["attack"],
+    "data": '''  "data": {
+    "beta": 0.5,
+    "n_classes": 3,
+    "n_features": 8,
+    "noise": 1.0,
+    "per_class": 20,
+    "r_sep": 6.0,
+    "test_per_class": 30
+  }''',
+    "defense": _MINIMAL_SECTIONS["defense"].replace('"p": 650', '"p": 4'),
+    "experiment": '''  "experiment": {
+    "client_sample_ratio": 1.0,
+    "master_seed": 99,
+    "n_byzantine": 1,
+    "n_clients": 6,
+    "repeats": 2,
+    "rounds": 2
+  }''',
+    "model": _MINIMAL_SECTIONS["model"],
+    "trainer": _MINIMAL_SECTIONS["trainer"].replace('"local_epochs": 5', '"local_epochs": 1'),
+}
+
+
+@pytest.mark.parametrize("payload, expected", [
+    (SMALL_CONFIG, _canonical(_SMALL_SECTIONS)),
+    (MINIMAL_CONFIG, _canonical(_MINIMAL_SECTIONS)),
+], ids=["small", "minimal"])
+def test_emit_config_pinned_bytes(payload, expected):
+    assert emit_config(parse_config(json.dumps(payload))) == expected
+    assert emit_config(parse_config(expected)) == expected
+
+
+_FLOAT_FIELDS = {"eps", "c", "delta", "z", "gamma_init", "tau", "epsilon", "clip_norm"}
+_DEFENSE_FIELDS = {"plain": {}, "bucketing": {"s": 2},
+                   "gas": {"p": 4, "selection_mode": "ratio", "delta": 0.25, "partition_policy": "fixed"}}
+_ROUNDTRIP_CASES = [
+    *(pytest.param(("defense",), {"kind": kind, **fields, "base": {
+        "kind": base, "iters": 4, "eps": 1, "c": 3, "niters": 2, "b": 7}}, id=f"{kind}-{base}")
+      for kind, fields in _DEFENSE_FIELDS.items() for base in AGR_KINDS),
+    *(pytest.param(("attack",), {"kind": kind, "z": 2, "gamma_init": 5, "tau": 0.001, "epsilon": 0.1},
+                   id=f"attack-{kind}") for kind in ATTACK_KINDS),
+    *(pytest.param((section, key), value, id=f"{key}-{value}")
+      for section, key, set_to in [("model", "hidden", 8), ("trainer", "clip_norm", 3),
+                                   ("data", "test_per_class", 12)]
+      for value in (None, set_to)),
+]
+
+
+@pytest.mark.parametrize("where, value", _ROUNDTRIP_CASES)
+def test_config_roundtrip_every_kind_and_null(where, value):
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    *sections, key = where
+    target = payload
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    canonical = emit_config(parse_config(json.dumps(payload)))
+    assert emit_config(parse_config(canonical)) == canonical
+    emitted = json.loads(canonical)
+    for section in sections:
+        emitted = emitted[section]
+    given = value if isinstance(value, dict) else {key: value}
+    emitted = emitted[key] if isinstance(value, dict) else emitted
+    for name, v in given.items():  # every given value survives; an int widens in a float field
+        assert emitted[name] == v
+        assert type(emitted[name]) is (float if name in _FLOAT_FIELDS and v is not None else type(v))
+
+
 def test_config_field_level_errors():
     with pytest.raises(ConfigError, match="attack.kind"):
         parse_config(json.dumps({**SMALL_CONFIG, "attack": {"kind": "nope"}}))
@@ -246,6 +390,11 @@ def test_config_field_level_errors():
         parse_config(json.dumps(bad))
     with pytest.raises(ConfigError, match="missing"):
         parse_config(json.dumps({"experiment": {"n_clients": 4}}))
+    bad = json.loads(json.dumps(SMALL_CONFIG))
+    del bad["defense"]["base"]
+    with pytest.raises(ConfigError, match="defense.base: missing section") as exc:
+        parse_config(json.dumps(bad))
+    assert exc.value.field == "defense.base"
 
 
 def test_manifest_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gasfl.core import (IndexPartition, SeedSpec, as_gradient_matrix, check_server_ingress,
-                        extract_subvector, l2_norm, make_partition, mean)
+                        make_partition, mean)
 
 
 def test_partition_sizes_divisible():
@@ -92,23 +92,15 @@ def test_partition_accepts_valid_fields_without_aliasing():
             IndexPartition(order=order, offsets=offsets, d=5, p=p)
 
 
-def test_extract_subvector_basics():
-    g = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(extract_subvector(g, np.array([0, 2])), [1.0, 3.0])
-    assert np.array_equal(extract_subvector(g, np.arange(4)), g)
-    with pytest.raises(ValueError, match="out of range"):
-        extract_subvector(g, np.array([4]))
-
-
 def test_extract_then_reassemble_is_identity():
     rng = np.random.default_rng(0)
     for _ in range(50):
         d = int(rng.integers(1, 200))
         g = rng.standard_normal(d)
         part = make_partition(d, int(rng.integers(1, d + 1)), SeedSpec(int(rng.integers(2**32))))
-        rebuilt = np.empty(d)
+        rebuilt = np.full(d, np.nan)
         for subset in part.subsets:
-            rebuilt[np.sort(subset)] = extract_subvector(g, subset)
+            rebuilt[np.sort(subset)] = g[np.sort(subset)]
         assert np.array_equal(rebuilt, g)
 
 
@@ -132,11 +124,6 @@ def test_mean_permutation_and_translation():
     assert np.allclose(mean(x[::-1]), mean(x))
     assert np.allclose(mean(x + shift), mean(x) + shift)
 
-
-def test_l2_norm_examples():
-    assert l2_norm([3.0, 4.0]) == 5.0
-    assert l2_norm(np.zeros(8)) == 0.0
-    assert l2_norm([1.0, 1.0, 1.0, 1.0]) == 2.0
 
 
 def test_seedspec_identical_paths_identical_streams():

@@ -3,8 +3,8 @@ import pytest
 
 from gasfl.aggregators import AggregatorSpec, coordinate_median
 from gasfl.core import SeedSpec
-from gasfl.gas import (GasConfig, KnownF, Ratio, ScoreTable, SelectionResult, gas_aggregate,
-                       group_scores, select_clients, total_scores)
+from gasfl.gas import (GasConfig, KnownF, Ratio, SelectionResult, gas_aggregate,
+                       group_scores, select_clients)
 
 
 def _cfg(p=4, base="median", selection=None, seed=3, policy="per_round"):
@@ -37,16 +37,6 @@ def test_group_scores_median_matches_direct():
     _, scores = group_scores(sub, AggregatorSpec("median"), 1)
     direct = np.linalg.norm(sub - coordinate_median(sub), axis=1)
     assert np.abs(scores - direct).max() <= 1e-12
-
-
-# totals -------------------------------------------------------------------
-
-def test_total_scores_examples():
-    table = ScoreTable(group_scores=np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]),
-                       totals=np.zeros(3))
-    assert np.array_equal(total_scores(table), [3.0, 7.0, 0.0])
-    single = ScoreTable(group_scores=np.array([[2.0], [5.0]]), totals=np.zeros(2))
-    assert np.array_equal(total_scores(single), [2.0, 5.0])
 
 
 # selection ------------------------------------------------------------------
