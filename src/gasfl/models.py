@@ -60,7 +60,9 @@ class Model:
     def logits(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
         if self.hidden is None:
             weights, bias = self._unpack(w)
-            return features @ weights.T + bias
+            z = features @ weights.T
+            z += bias
+            return z
         w1, b1, w2, b2 = self._unpack(w)
         hidden = np.tanh(features @ w1.T + b1)
         return hidden @ w2.T + b2
@@ -105,14 +107,19 @@ class Model:
         runs = _equal_runs(counts)
         if self.hidden is None:
             weights, bias = self._unpack(ws)
-            probs = _softmax(_rows_matmul(features, weights.swapaxes(1, 2), runs)
-                             + bias[:, None, :])
+            z = _rows_matmul(features, weights.swapaxes(1, 2), runs)
+            z += bias[:, None, :]
+            probs = _softmax(z)
             _loss_slope(probs, labels, counts)
             return np.concatenate([_rows_contract(probs, features, runs).reshape(k, -1),
                                    _rows_sum(probs, runs)], axis=1)
         w1, b1, w2, b2 = self._unpack(ws)
-        hidden = np.tanh(_rows_matmul(features, w1.swapaxes(1, 2), runs) + b1[:, None, :])
-        probs = _softmax(_rows_matmul(hidden, w2.swapaxes(1, 2), runs) + b2[:, None, :])
+        hidden = _rows_matmul(features, w1.swapaxes(1, 2), runs)
+        hidden += b1[:, None, :]
+        np.tanh(hidden, out=hidden)
+        z = _rows_matmul(hidden, w2.swapaxes(1, 2), runs)
+        z += b2[:, None, :]
+        probs = _softmax(z)
         _loss_slope(probs, labels, counts)
         d_hidden = _rows_matmul(probs, w2, runs) * (1.0 - hidden * hidden)
         return np.concatenate([
@@ -128,9 +135,11 @@ class Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: z is overwritten and returned."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _equal_runs(counts: np.ndarray) -> list[tuple[int, int, int]]:

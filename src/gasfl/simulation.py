@@ -87,6 +87,9 @@ class DataConfig:
             raise ValueError(f"test_per_class must be >= 1 or null, got {self.test_per_class}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("r_sep", "noise"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,11 @@ class ExperimentConfig:
     repeats: int = 5
     master_seed: int = 0
 
+    @property
+    def sample_size(self) -> int:
+        """Clients sampled per round, before those with empty shards are dropped."""
+        return max(1, int(round(self.client_sample_ratio * self.n_clients)))
+
     def __post_init__(self):
         if not 0 <= self.n_byzantine < self.n_clients / 2:
             raise ValueError(f"n_byzantine must satisfy 0 <= f < n/2, "
@@ -156,6 +164,12 @@ class ExperimentConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0 < self.client_sample_ratio <= 1:
             raise ValueError(f"client_sample_ratio must lie in (0, 1], got {self.client_sample_ratio}")
+        if isinstance(self.defense, GasDefense) and self.sample_size < 2:
+            raise ValueError(f"client_sample_ratio {self.client_sample_ratio} samples "
+                             f"{self.sample_size} of {self.n_clients} clients per round, "
+                             f"and a gas defense needs at least 2")
+        if self.init_scale < 0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
             raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
@@ -227,18 +241,26 @@ def local_train(model: Model, w: np.ndarray, shards: ClientShards, cfg: TrainerC
 
     current = np.repeat(w[None, :], counts.size, axis=0)
     velocity = np.zeros_like(current)
+    scratch = np.empty_like(current)
     for epoch in range(epochs):
         for batch, heights in steps:
             k = heights.size
-            g = model.grads(current[:k], shards.features[rows[epoch, :k, batch]],
+            cur, vel, tmp = current[:k], velocity[:k], scratch[:k]
+            g = model.grads(cur, shards.features[rows[epoch, :k, batch]],
                             labels[epoch, :k, batch], heights)
             if cfg.clip_norm is not None:
                 norms = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0, 0]
                 over = norms > cfg.clip_norm
-                g[over] = g[over] * (cfg.clip_norm / norms[over])[:, None]
-            step = g + cfg.weight_decay * current[:k]
-            velocity[:k] = cfg.momentum * velocity[:k] + step
-            current[:k] = current[:k] - cfg.learning_rate * velocity[:k]
+                if over.any():
+                    g[over] *= (cfg.clip_norm / norms[over])[:, None]
+            # v = momentum * v + (g + wd * w); w = w - lr * v, in place but with the
+            # same operations in the same order, so rows stay bit-identical to the reference
+            np.multiply(cur, cfg.weight_decay, out=tmp)
+            g += tmp
+            vel *= cfg.momentum
+            vel += g
+            np.multiply(vel, cfg.learning_rate, out=tmp)
+            cur -= tmp
     updates = np.empty_like(current)
     updates[rank] = w - current
     return updates
@@ -283,10 +305,8 @@ def init_run(cfg: ExperimentConfig, seed: SeedSpec) -> RunState:
 
 
 def _sample_clients(cfg: ExperimentConfig, state: RunState, t: int) -> np.ndarray:
-    n = cfg.n_clients
-    k = max(1, int(round(cfg.client_sample_ratio * n)))
     rng = state.seed.child("sample", t).generator()
-    sampled = np.sort(rng.choice(n, size=k, replace=False))
+    sampled = np.sort(rng.choice(cfg.n_clients, size=cfg.sample_size, replace=False))
     return sampled[state.shards.counts[sampled] > 0].astype(np.int64)
 
 

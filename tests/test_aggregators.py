@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasfl import reference as ref
 from gasfl.aggregators import (AggregatorSpec, _krum_scores, aggregate, aggregate_with_selection,
@@ -46,6 +48,32 @@ def test_median_examples():
 def test_median_matches_sort_oracle():
     x = _rand(3, 7, 3)
     assert np.abs(coordinate_median(x) - ref.median_reference(x)).max() <= 1e-12
+
+
+@st.composite
+def median_inputs(draw):
+    """(n, d) matrices in either layout, with ties, signed zeros, infs and NaN columns."""
+    n = draw(st.integers(1, 60), label="n")
+    d = draw(st.integers(1, 9), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    # rounding leaves many ties, and -0.0 wherever a negative value rounds to zero
+    x = np.round(rng.standard_normal((n, d)) * draw(st.sampled_from([0.3, 2.0, 1e3]), label="scale"))
+    x[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.9]), label="zeros")] = -0.0
+    special = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                      st.sampled_from([np.nan, np.inf, -np.inf])),
+                            max_size=4), label="special")
+    for i, j, value in special:
+        x[i, j] = value
+    return np.asarray(x, order=draw(st.sampled_from(["C", "F"]), label="order"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=median_inputs())
+def test_median_bit_identical_to_np_median(x):
+    with np.errstate(invalid="ignore"):  # inf and -inf as the middle pair average to NaN
+        fast, slow = coordinate_median(x), np.median(x, axis=0)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 # trimmed mean ------------------------------------------------------------

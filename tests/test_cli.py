@@ -77,6 +77,10 @@ def test_run_missing_config_exits_2(tmp_path):
     ("model.hidden", 0, "model.hidden: hidden"),
     ("experiment.repeats", 0, "experiment.repeats: repeats "),
     ("experiment.client_sample_ratio", 0.0, "experiment.client_sample_ratio: client_sample_ratio "),
+    ("experiment.client_sample_ratio", 0.01, "experiment.client_sample_ratio: client_sample_ratio "),
+    ("data.noise", -1.0, "data.noise: noise "),
+    ("data.r_sep", -5.0, "data.r_sep: r_sep "),
+    ("model.init_scale", -1.0, "model.init_scale: init_scale "),
     ("defense.p", 28, "defense.p must be <= the model dimension 27"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):

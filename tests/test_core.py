@@ -149,10 +149,25 @@ def test_ingress_rejects_nan_and_inf():
     with pytest.raises(ValueError, match="client 1.*NaN"):
         check_server_ingress(bad)
     bad[1, 0] = np.inf
-    with pytest.raises(ValueError, match="infinite"):
+    with pytest.raises(ValueError, match="client 1.*infinite"):
+        check_server_ingress(bad)
+    # NaN is reported first, even behind an earlier client's inf
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="client 2.*NaN"):
         check_server_ingress(bad)
 
 
 def test_gradient_matrix_accepts_2d_array():
     x = np.arange(6, dtype=float).reshape(2, 3)
     assert as_gradient_matrix(x).shape == (2, 3)
+
+
+def test_generator_matches_list_entropy():
+    # the packed uint32 entropy must seed the same pool as SeedSequence's list path
+    for master in (0, 1, 2**32, 2**64 - 1):
+        for index in (0, 2**32, 2**63):
+            spec = SeedSpec(master).child("round", index).child("client", 3)
+            listed = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec._entropy())))
+            fast = spec.generator()
+            assert fast.bit_generator.state == listed.bit_generator.state
+            assert np.array_equal(fast.integers(0, 2**63, 64), listed.integers(0, 2**63, 64))
