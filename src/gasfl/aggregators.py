@@ -117,7 +117,8 @@ def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
     # for one (n, n) distance matrix or each matrix of a (groups, n, n) stack
     n = sq.shape[-1]
     k = max(0, n - f - 2)
-    ordered = np.sort(sq + np.diag(np.full(n, np.inf)), axis=-1)
+    ordered = sq + np.diag(np.full(n, np.inf))
+    ordered.sort(axis=-1)
     return ordered[..., :k].sum(axis=-1)
 
 

@@ -6,9 +6,10 @@ ipm) collude: all f uploads are identical. bit_flip and label_flip act on the
 Byzantine clients' own training instead; label flipping happens inside local
 training, so its crafted vectors pass through unchanged here.
 
-min_max and min_sum read the honest pairwise distances off one Gram matrix
-(`core.pairwise_sq_dists`) and search their step size in O(n) per probe,
-so their memory is O(n^2 + n d), never (n, n, d).
+min_max and min_sum make one centered copy of the honest rows and take the
+std, the honest pairwise distances (one Gram matrix, `core.centered_sq_dists`)
+and their O(n)-per-probe step search from it, so besides their input they
+hold one (n, d) array and O(n^2) more, never (n, n, d).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists
+from .core import SeedSpec, as_gradient_matrix, centered_sq_dists
 
 KINDS = ("none", "bit_flip", "label_flip", "lie", "min_max", "min_sum", "ipm")
 
@@ -87,11 +88,10 @@ def _largest_feasible_gamma(feasible: Callable[[float], bool], gamma_init: float
 def min_max(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
     """Push along -std as far as the largest honest pairwise distance allows."""
     x = _require_honest(honest, 2, "min_max")
-    mu, delta = x.mean(axis=0), x.std(axis=0)
+    mu, delta, pair_sq, sq_dists = _spread(x)
     if not delta.any():
         return mu
-    bound = float(pairwise_sq_dists(x).max())
-    sq_dists = _sq_dists_along(x, mu, delta)
+    bound = float(pair_sq.max())
 
     def feasible(gamma: float) -> bool:
         return float(sq_dists(gamma).max()) <= bound
@@ -102,11 +102,10 @@ def min_max(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
 def min_sum(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
     """Like min_max, but bounded by the worst honest sum of squared distances."""
     x = _require_honest(honest, 2, "min_sum")
-    mu, delta = x.mean(axis=0), x.std(axis=0)
+    mu, delta, pair_sq, sq_dists = _spread(x)
     if not delta.any():
         return mu
-    bound = float(pairwise_sq_dists(x).sum(axis=1).max())
-    sq_dists = _sq_dists_along(x, mu, delta)
+    bound = float(pair_sq.sum(axis=1).max())
 
     def feasible(gamma: float) -> bool:
         return float(sq_dists(gamma).sum()) <= bound
@@ -114,19 +113,38 @@ def min_sum(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
     return mu - _largest_feasible_gamma(feasible, gamma_init, tau) * delta
 
 
-def _sq_dists_along(x: np.ndarray, mu: np.ndarray,
-                    delta: np.ndarray) -> Callable[[float], np.ndarray]:
-    """gamma -> squared distances from each row of x to mu - gamma * delta.
+def _spread(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     Callable[[float], np.ndarray]]:
+    """(mu, delta, pair_sq, sq_dists) of the honest rows, from one centered copy.
 
-    With c_i = x_i - mu, |c_i + gamma delta|^2 = a_i + gamma (2 b_i + gamma
+    mu and delta are `x.mean(axis=0)` and `x.std(axis=0)` bit for bit, and
+    pair_sq, read off c = x - mu, is `pairwise_sq_dists(x)` bit for bit for
+    a C-ordered x. c is the only (n, d) array made, and it is dropped on
+    return. numpy adds the squared
+    deviations of a C-ordered matrix to +0.0 one row at a time, so delta
+    squares and adds c row by row; a single column or a column-major c,
+    which numpy sums pairwise, is squared whole.
+
+    sq_dists maps gamma to the squared distances from each row to
+    mu - gamma * delta: |c_i + gamma delta|^2 = a_i + gamma (2 b_i + gamma
     |delta|^2), where a_i = |c_i|^2 and b_i = c_i . delta are computed once,
     so each step of the gamma search costs O(n), not O(n d).
     """
+    mu = x.mean(axis=0)
     c = x - mu
+    if c.shape[1] > 1 and c.flags.c_contiguous:
+        var = np.zeros(c.shape[1])
+        for row in c:
+            var += np.square(row)
+    else:
+        var = np.add.reduce(np.square(c), axis=0)
+    var /= x.shape[0]
+    delta = np.sqrt(var, out=var)
+    pair_sq = centered_sq_dists(c)
     a = np.einsum("ij,ij->i", c, c)
     b = c @ delta
     dd = float(delta @ delta)
-    return lambda gamma: a + gamma * (2.0 * b + gamma * dd)
+    return mu, delta, pair_sq, lambda gamma: a + gamma * (2.0 * b + gamma * dd)
 
 
 def ipm(honest, epsilon: float = 0.5) -> np.ndarray:

@@ -136,17 +136,29 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     Gram form, O(n^2 + n k) memory per matrix: the rows are centered on
     their mean, which leaves every distance unchanged but cancels a large
     common offset before any product, and |a|^2 + |b|^2 - 2 a.b is read off
-    one `c @ c.T`. Rounding can leave a true zero slightly negative, so the
-    result is clamped at 0 and its diagonal is exactly 0. The rows are
-    centered in a C-ordered copy, so a matrix gets the same result alone or
-    in a stack, whatever the input's layout.
+    one `c @ c.T`, whose -2 scaling happens in place. Rounding can leave a
+    true zero slightly negative, so the result is clamped at 0 and its
+    diagonal is exactly 0. The rows are centered in a C-ordered copy, so a
+    matrix gets the same result alone or in a stack, whatever the input's
+    layout.
     """
     c = np.array(points, dtype=np.float64, order="C")
     c -= c.mean(axis=-2, keepdims=True)
+    return centered_sq_dists(c)
+
+
+def centered_sq_dists(c: np.ndarray) -> np.ndarray:
+    """`pairwise_sq_dists` of rows that are already centered; `c` is only read.
+
+    A caller that holds the centered rows anyway saves the copy: for a
+    C-ordered matrix x, passing `x - x.mean(axis=0)` gives exactly
+    `pairwise_sq_dists(x)`.
+    """
     gram = c @ np.swapaxes(c, -1, -2)
     sq = np.diagonal(gram, axis1=-2, axis2=-1)
     dists = sq[..., :, None] + sq[..., None, :]
-    dists -= 2.0 * gram
+    gram *= -2.0
+    dists += gram
     np.maximum(dists, 0.0, out=dists)
     diag = np.arange(dists.shape[-1])
     dists[..., diag, diag] = 0.0

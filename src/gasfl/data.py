@@ -100,11 +100,18 @@ class SyntheticGradientModel:
         rng = self.seed.child("client_means").generator()
         base = rng.standard_normal(self.dim)
         base *= self.base_norm / max(np.linalg.norm(base), 1e-300)
+        # the means are built in the one (n_honest, dim) array drawn, with
+        # the row norms taken a few rows at a time: no other array of that
+        # size means fewer fresh pages to fault at set-up
         shifts = rng.standard_normal((self.n_honest, self.dim))
-        shifts *= self.kappa / np.maximum(np.linalg.norm(shifts, axis=1, keepdims=True), 1e-300)
-        means = base + shifts
-        means.flags.writeable = False
-        return means
+        rows = max(1, (1 << 18) // (8 * self.dim))
+        norms = np.empty((self.n_honest, 1))
+        for i in range(0, self.n_honest, rows):
+            norms[i:i + rows] = np.linalg.norm(shifts[i:i + rows], axis=1, keepdims=True)
+        shifts *= self.kappa / np.maximum(norms, 1e-300)
+        shifts += base
+        shifts.flags.writeable = False
+        return shifts
 
     def sample_round(self, round: int) -> np.ndarray:
         """(n_honest, dim) honest gradients for one round."""

@@ -7,14 +7,16 @@ clients, and returns their plain average. Low-dimensional group scoring keeps
 colluding outliers visible, while averaging the kept clients preserves all
 the honest signal.
 
-A coordinate-wise base rule (mean, median, trimmed mean) gives each group the
-same aggregate whether it runs per group or once on the full matrix, so it
-runs once. Multi-Krum runs on all groups at once: group sizes differ by at
-most one, so the groups form at most two (groups, n, size) stacks, each
-scored with one batched Gram product, and a group gets the same selection
-as it would alone. Bulyan, geometric median and DnC run group by group.
-Either way the per-group aggregates form one length-d center, and all p
-group scores come from one pass over the residual to it. `group_scores` is
+The gradients are transposed once into a C-ordered (d, n) copy. Group sizes
+differ by at most one, so the groups are walked in blocks of equal-size
+groups, each block at most `_BLOCK_BYTES` and gathered once into a
+(size, groups, n) buffer; memory beyond the copy stays fixed whatever d is.
+A coordinate-wise base rule (mean, median, trimmed mean) gives each group
+the same aggregate whether it runs per group or once on the full matrix, so
+it runs once. Multi-Krum runs on each block's (groups, n, size) view with
+one batched Gram product, and a group gets the same selection as it would
+alone. Bulyan, geometric median and DnC run group by group. The group
+scores of a block are then taken in place on its buffer. `group_scores` is
 the one-group form, kept as the straight-line reference.
 """
 
@@ -30,6 +32,10 @@ from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
 
 # Base rules whose output at each coordinate depends only on that coordinate.
 _SEPARABLE_BASES = ("mean", "median", "trimmed_mean")
+
+# Bytes of client rows gathered per block of groups: the scoring holds about
+# two blocks beside the (d, n) transposed copy, whatever d is.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -122,36 +128,22 @@ def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
     return n - removed, removed
 
 
-def _group_blocks(partition: IndexPartition):
-    """The groups as at most two (groups, size) index arrays, in group order.
+def _group_blocks(partition: IndexPartition, n: int):
+    """The groups in blocks of at most `_BLOCK_BYTES` of (n,) rows, in group order.
 
-    Group sizes differ by at most one, and the groups of the larger size
-    come first.
+    Yields (first, cols): `cols` is a (groups, size) index array whose rows
+    are groups first .. first + groups - 1. Group sizes differ by at most
+    one, the groups of the larger size come first, and no block mixes sizes.
     """
     lo = partition.d // partition.p
     split = (partition.d - lo * partition.p) * (lo + 1)
+    first = 0
     for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
-        if cols.size:
-            yield cols.reshape(-1, size)
-
-
-def _group_norms(x: np.ndarray, center: np.ndarray, partition: IndexPartition) -> np.ndarray:
-    """(p, n) table: row q holds each client's l2 distance to `center` over group q.
-
-    Bit-identical to `group_scores` on `x[:, subset]`: numpy returns that
-    sub-matrix column-major, so its row norms add the squared coordinates one
-    at a time in ascending order, not pairwise. The groups form at most two
-    C-ordered (size, groups, n) stacks, and reducing a stack over its leading
-    axis adds coordinates in that same order. Together the stacks hold one
-    (n, d) buffer.
-    """
-    blocks = []
-    for idx in _group_blocks(partition):
-        sq = np.take(x.T, idx.T, axis=0)
-        sq -= center[idx.T][:, :, None]
-        sq *= sq
-        blocks.append(np.sqrt(np.add.reduce(sq, axis=0)))
-    return np.concatenate(blocks)
+        groups = cols.reshape(-1, size)
+        step = max(1, _BLOCK_BYTES // (size * n * 8))
+        for start in range(0, groups.shape[0], step):
+            yield first + start, groups[start:start + step]
+        first += groups.shape[0]
 
 
 def gas_aggregate(config: GasConfig, gradients, round: int = 0,
@@ -160,10 +152,16 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
 
     The coordinate partition is resampled per round (or held fixed, per
     `config.partition_policy`) from seeds derived off `config.seed`, so the
-    call is a pure function of (config, gradients, round). A separable base
-    rule runs once on the full matrix, Multi-Krum once per stack of equal-size
-    groups, and any other rule once per group, seeded per group. Totals are
-    summed in ascending group order.
+    call is a pure function of (config, gradients, round). The gradients are
+    transposed once into a C-ordered (d, n) copy, and the groups are walked
+    in blocks of equal-size groups, each gathered once into a
+    (size, groups, n) buffer. A separable base rule runs once on the full
+    matrix, Multi-Krum once per block, and any other rule once per group,
+    seeded per group. Each block's scores are then taken in place and
+    reduced over its leading axis, so every group norm adds its coordinates
+    one at a time in ascending order, as the row norms of the column-major
+    `x[:, subset]` in `group_scores` do. Totals are summed in ascending
+    group order.
     """
     x = as_gradient_matrix(gradients)
     n, d = x.shape
@@ -179,30 +177,53 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         part_seed = config.seed.child("fixed_partition")
     partition = make_partition(d, min(config.p, d), part_seed)
 
+    xt = np.ascontiguousarray(x.T)
+    krum = config.base.kind == "multi_krum"
     if config.base.kind in _SEPARABLE_BASES:
         # column-major, like each x[:, subset]: every coordinate then reduces
         # over clients in the same order as it would within its own group
-        center = aggregate(config.base, np.asfortranarray(x), base_f)
-    elif config.base.kind == "multi_krum":
+        center = aggregate(config.base, xt.T, base_f)
+    elif krum:
         _check_shared(x, base_f)  # the precondition `aggregate` checks per group
         center = np.empty(d)
-        for idx in _group_blocks(partition):
-            stack = np.ascontiguousarray(np.take(x, idx, axis=1).transpose(1, 0, 2))
-            kept = multi_krum_selections(stack, base_f)
-            # C-ordered (groups, n - f, size) rows, averaged in client order
-            # like the rows `aggregate` averages for a single group
-            center[idx] = np.take_along_axis(stack, kept[:, :, None], axis=1).mean(axis=1)
     else:
         round_seed = config.seed.child("round", round)
         center = np.empty(d)
         for q, subset in enumerate(partition.subsets):
-            center[subset] = aggregate(config.base, x[:, subset], base_f,
+            center[subset] = aggregate(config.base, xt[subset].T, base_f,
                                        seed=round_seed.child("group", q))
 
-    scores = _group_norms(x, center, partition)
+    scores = np.empty((partition.p, n))
+    for first, cols in _group_blocks(partition, n):
+        block = np.take(xt, cols.T, axis=0)  # (size, groups, n)
+        if krum:
+            stack = block.transpose(1, 2, 0)  # (groups, n, size)
+            kept = multi_krum_selections(stack, base_f)
+            # (groups, n - f, size) rows, averaged in client order like the
+            # rows `aggregate` averages for a single group
+            center[cols] = stack[np.arange(cols.shape[0])[:, None], kept].mean(axis=1)
+        block -= center[cols.T][:, :, None]
+        block *= block
+        np.sqrt(np.add.reduce(block, axis=0), out=scores[first:first + cols.shape[0]])
     table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
     result = select_clients(table.totals, keep_count)
-    return x[result.selected].mean(axis=0), table, result, partition
+    return _mean_of_rows(x, result.selected), table, result, partition
+
+
+def _mean_of_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`x[rows].mean(axis=0)` without its (len(rows), d) copy.
+
+    numpy averages the C-ordered copy by adding its rows one at a time to
+    +0.0, so adding them in place gives the same bits. A single column,
+    which numpy sums pairwise, is averaged directly.
+    """
+    if x.shape[1] == 1:
+        return x[rows].mean(axis=0)
+    total = np.zeros(x.shape[1])
+    for r in rows:
+        total += x[r]
+    total /= len(rows)
+    return total
 
 
 __all__ = [

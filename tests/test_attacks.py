@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gasfl import attacks
 from gasfl.attacks import AttackContext, AttackSpec, bit_flip, craft, ipm, lie, min_max, min_sum
-from gasfl.core import SeedSpec
+from gasfl.core import SeedSpec, pairwise_sq_dists
 
 
 def _rand(seed, n, d):
@@ -131,6 +132,37 @@ def test_min_sum_constraint_satisfied():
         diff = honest[:, None, :] - honest[None, :, :]
         bound = np.einsum("ijk,ijk->ij", diff, diff).sum(axis=1).max()
         assert ((honest - out) ** 2).sum() <= bound + 1e-6
+
+
+def _three_pass_attack(x, kind, gamma_init=10.0, tau=1e-5):
+    """min_max / min_sum from x.mean, x.std, the pairwise_sq_dists bound and x - mu."""
+    mu, delta = x.mean(axis=0), x.std(axis=0)
+    if not delta.any():
+        return mu
+    sq = pairwise_sq_dists(x)
+    c = x - mu
+    a, b, dd = np.einsum("ij,ij->i", c, c), c @ delta, float(delta @ delta)
+    if kind == "min_max":
+        bound = float(sq.max())
+        feasible = lambda gamma: float((a + gamma * (2.0 * b + gamma * dd)).max()) <= bound
+    else:
+        bound = float(sq.sum(axis=1).max())
+        feasible = lambda gamma: float((a + gamma * (2.0 * b + gamma * dd)).sum()) <= bound
+    return mu - attacks._largest_feasible_gamma(feasible, gamma_init, tau) * delta
+
+
+def test_one_copy_attacks_match_three_pass_formula():
+    # one centered copy serves the std, the Gram bound and the step search
+    rng = np.random.default_rng(31)
+    for n in (2, 7, 40):
+        for d in (1, 2, 3, 5, 100, 1001, 10_007):
+            for scale in (1e-3, 1.0, 1e3):
+                x = rng.standard_normal((n, d)) * scale + rng.uniform(-3, 3)
+                for kind, fn in (("min_max", min_max), ("min_sum", min_sum)):
+                    assert np.array_equal(fn(x), _three_pass_attack(x, kind)), (kind, n, d, scale)
+                # the std alone, also where numpy sums each column pairwise
+                for layout in (x, np.asfortranarray(x), x[:, ::-1]):
+                    assert np.array_equal(attacks._spread(layout)[1], layout.std(axis=0))
 
 
 def test_min_max_defaults_parse():

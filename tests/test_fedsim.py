@@ -412,6 +412,24 @@ def test_monotone_harm_on_desk_instance():
 
 # direct gradient model --------------------------------------------------------------
 
+def _client_means_three_arrays(model):
+    """The means as base + shifts over whole-matrix norms, three (n, d) arrays."""
+    rng = model.seed.child("client_means").generator()
+    base = rng.standard_normal(model.dim)
+    base *= model.base_norm / max(np.linalg.norm(base), 1e-300)
+    shifts = rng.standard_normal((model.n_honest, model.dim))
+    shifts *= model.kappa / np.maximum(np.linalg.norm(shifts, axis=1, keepdims=True), 1e-300)
+    return base + shifts
+
+
+@pytest.mark.parametrize("dim,n_honest", [(64, 12), (10_000, 40), (5_000, 7), (1, 3), (300, 0)])
+def test_client_means_match_three_array_form(dim, n_honest):
+    # built in place in one array, with row norms taken a few rows at a time
+    model = SyntheticGradientModel(dim=dim, n_honest=n_honest, kappa=1.3, sigma=0.5,
+                                   seed=SeedSpec(dim))
+    assert np.array_equal(model.client_means(), _client_means_three_arrays(model))
+
+
 def test_synthetic_gradient_model_geometry():
     model = SyntheticGradientModel(dim=64, n_honest=12, kappa=1.0, sigma=0.5, seed=SeedSpec(40))
     means = model.client_means()

@@ -3,8 +3,10 @@ import pytest
 
 from gasfl.aggregators import AggregatorSpec, coordinate_median
 from gasfl.core import SeedSpec
-from gasfl.gas import (GasConfig, KnownF, Ratio, SelectionResult, gas_aggregate,
+from gasfl.gas import (_BLOCK_BYTES, GasConfig, KnownF, Ratio, SelectionResult, gas_aggregate,
                        group_scores, select_clients)
+
+ALL_BASES = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
 
 def _cfg(p=4, base="median", selection=None, seed=3, policy="per_round"):
@@ -142,16 +144,29 @@ def _assert_matches_per_group_path(x, cfg, f, rnd):
 
 
 def test_gas_scores_match_per_group_path():
-    # the one-pass scoring equals scoring group by group with group_scores
+    # the blocked scoring equals scoring group by group with group_scores
     n, d, f, rnd = 12, 30, 2, 2
     x = _rand(10, n, d)
-    for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
-        for base in ("median", "mean", "trimmed_mean", "multi_krum"):
-            _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(f)), f, rnd)
-    # group-batched Krum at a wide_server-like shape: 10007 = 100 * 100 + 7,
-    # so 7 groups of 101 and 93 groups of 100 coordinates
-    x = _rand(15, 50, 10007)
-    _assert_matches_per_group_path(x, _cfg(p=100, base="multi_krum", selection=KnownF(10)), 10, 4)
+    # gas_aggregate always transposes its input: a column-major copy and a
+    # strided view must score like the C-ordered matrix
+    strided = np.repeat(x, 2, axis=1)[:, ::2]
+    for layout in (x, np.asfortranarray(x), strided):
+        for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
+            for base in ALL_BASES:
+                _assert_matches_per_group_path(layout, _cfg(p=p, base=base, selection=KnownF(f)),
+                                               f, rnd)
+    # one column: numpy then averages the kept clients pairwise
+    for base in ALL_BASES:
+        _assert_matches_per_group_path(x[:, :1], _cfg(p=1, base=base, selection=KnownF(f)), f, rnd)
+    # a wide_server-like shape: 10007 = 100 * 100 + 7, so 7 groups of 101
+    # and 93 groups of 100 coordinates, and both sizes end in a partial block
+    n, d, p = 50, 10007, 100
+    for size, count in ((101, 7), (100, 93)):
+        per_block = max(1, _BLOCK_BYTES // (size * n * 8))
+        assert per_block < count and count % per_block, (size, per_block)
+    x = _rand(15, n, d)
+    for base in ("median", "mean", "trimmed_mean", "multi_krum"):
+        _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(10)), 10, 4)
 
 
 def test_gas_permutation_equivariance_fixed_partition():
