@@ -6,6 +6,13 @@ divide-and-conquer spectral filtering (DnC), plus a bucketing wrapper and an
 empirical resilience certifier. Every rule is a pure function of its inputs;
 the seeded rules (DnC, bucketing) take an explicit SeedSpec.
 
+`aggregate` takes an (n, k) matrix or a (groups, n, k) stack of them, and
+dispatches on the rule's kind in one place, `_apply`, which always works on
+a stack. Each rule is written once, over the clients axis -2 of a stack, and
+gives every matrix of a stack bit for bit what it gives that matrix alone;
+the one-matrix functions (`coordinate_median`, `bulyan_selection`,
+`dnc_survivors`, ...) are its one-group case.
+
 All selection ties break toward the lower client index, and equal-value
 order statistics break toward the lower value, so outputs are deterministic.
 Multi-Krum and Bulyan read distances off a Gram matrix
@@ -69,34 +76,42 @@ class ResilienceReport:
     ratios: tuple[float, ...] = field(repr=False)
 
 
+def _as_points(gradients) -> np.ndarray:
+    """An (n, k) matrix, or a (groups, n, k) stack of them left in its own layout."""
+    if isinstance(gradients, np.ndarray) and gradients.ndim == 3:
+        return np.asarray(gradients, dtype=np.float64)
+    return as_gradient_matrix(gradients)
+
+
 def _check_shared(gradients, f: int) -> np.ndarray:
-    x = as_gradient_matrix(gradients)
-    n = x.shape[0]
+    x = _as_points(gradients)
+    n = x.shape[-2]
     if f < 0 or 2 * f >= n:
         raise ValueError(f"Byzantine count must satisfy 0 <= f < n/2, got n={n}, f={f}")
     return x
 
 
 def coordinate_median(gradients) -> np.ndarray:
-    """Coordinate-wise median, bit-identical to `np.median(x, axis=0)`.
+    """Coordinate-wise median, bit-identical to `np.median(x, axis=-2)`.
 
-    Even n averages the two middle order statistics. One full `np.sort`
-    along the clients axis costs about a fifth of `np.median`'s partition
-    with a two-element kth list at 50 x 650. The middle pair is then
-    averaged as np.median's mean does it: the sum starts from +0.0, so a
-    -0.0 median comes out +0.0, which also makes the order of tied zeros
-    irrelevant. A column holding a NaN sorts it last and takes that NaN,
-    as np.median does.
+    Even n averages the two middle order statistics.
+    One full `np.sort` along the clients axis costs about a fifth of
+    `np.median`'s partition with a two-element kth list at 50 x 650. The
+    middle pair is then averaged as np.median's mean does it: the sum starts
+    from +0.0, so a -0.0 median comes out +0.0, which also makes the order
+    of tied zeros irrelevant. A column holding a NaN sorts it last and takes
+    that NaN, as np.median does.
     """
-    ordered = np.sort(as_gradient_matrix(gradients), axis=0)
-    half = ordered.shape[0] // 2
-    if ordered.shape[0] % 2:
-        med = ordered[half] + 0.0
+    ordered = np.sort(_as_points(gradients), axis=-2)
+    n = ordered.shape[-2]
+    half = n // 2
+    if n % 2:
+        med = ordered[..., half, :] + 0.0
     else:
-        med = ordered[half - 1] + ordered[half]
+        med = ordered[..., half - 1, :] + ordered[..., half, :]
         med += 0.0
         med /= 2
-    last = ordered[-1]
+    last = ordered[..., -1, :]
     nan = np.isnan(last)
     if nan.any():
         med[nan] = last[nan]
@@ -105,46 +120,40 @@ def coordinate_median(gradients) -> np.ndarray:
 
 def coordinate_trimmed_mean(gradients, f: int) -> np.ndarray:
     """Drop the f largest and f smallest values per coordinate, average the rest."""
-    x = as_gradient_matrix(gradients)
-    n = x.shape[0]
+    x = _as_points(gradients)
+    n = x.shape[-2]
     if n <= 2 * f:
         raise ValueError(f"trimmed_mean requires n > 2f, got n={n}, f={f}")
-    return np.sort(x, axis=0)[f : n - f].mean(axis=0)
+    return np.sort(x, axis=-2)[..., f : n - f, :].mean(axis=-2)
 
 
 def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
     # score(i) = sum of squared distances to its (n - f - 2) nearest peers,
-    # for one (n, n) distance matrix or each matrix of a (groups, n, n) stack
+    # for one (n, n) distance matrix or each matrix of a (groups, n, n)
+    # stack; sq is overwritten with each row's sorted distances to its peers
     n = sq.shape[-1]
-    k = max(0, n - f - 2)
-    ordered = sq + np.diag(np.full(n, np.inf))
-    ordered.sort(axis=-1)
-    return ordered[..., :k].sum(axis=-1)
-
-
-def multi_krum_selections(stack: np.ndarray, f: int) -> np.ndarray:
-    """Multi-Krum on each (n, k) matrix of a (groups, n, k) stack at once.
-
-    Returns a (groups, n - f) array: row g holds the ascending indices of
-    the n - f lowest Krum scores of matrix g, ties by lower index. A matrix
-    gets the same selection alone or in any stack.
-    """
-    n = stack.shape[-2]
-    if n < f + 3:
-        raise ValueError(f"multi_krum requires n >= f+3, got n={n}, f={f}")
-    scores = _krum_scores(pairwise_sq_dists(stack), f)
-    chosen = np.argsort(scores, axis=-1, kind="stable")[..., : n - f]
-    return np.sort(chosen, axis=-1)
+    diag = np.arange(n)
+    sq[..., diag, diag] = np.inf
+    sq.sort(axis=-1)
+    return sq[..., : max(0, n - f - 2)].sum(axis=-1)
 
 
 def multi_krum_selection(gradients, f: int) -> np.ndarray:
     """Indices of the n-f lowest Krum-scoring clients, ties by lower index.
 
+    An (n, k) matrix gives its n - f indices in ascending order, a
+    (groups, n, k) stack a (groups, n - f) array, row g as matrix g alone.
     At the smallest allowed n = f + 3 each score sums a single peer, so
     mutual nearest neighbours tie exactly and the result depends on
     client order.
     """
-    return multi_krum_selections(as_gradient_matrix(gradients)[None], f)[0]
+    x = _as_points(gradients)
+    n = x.shape[-2]
+    if n < f + 3:
+        raise ValueError(f"multi_krum requires n >= f+3, got n={n}, f={f}")
+    scores = _krum_scores(pairwise_sq_dists(x), f)
+    chosen = np.argsort(scores, axis=-1, kind="stable")[..., : n - f]
+    return np.sort(chosen, axis=-1)
 
 
 def multi_krum(gradients, f: int) -> np.ndarray:
@@ -155,25 +164,42 @@ def multi_krum(gradients, f: int) -> np.ndarray:
 def bulyan_selection(gradients, f: int) -> np.ndarray:
     """First Bulyan stage: iterated Krum picks, n-2f of them, pool shrinking.
 
-    Ties go to the lower index. A pick from a pool of m clients scores
-    over m - f - 2 peers and the last pool holds 2f + 1, so for f in
-    {1, 2} mutual nearest neighbours tie exactly and the selection
-    depends on client order.
+    An (n, k) matrix gives its n - 2f picks in ascending order, a
+    (groups, n, k) stack a (groups, n - 2f) array, row g as matrix g alone.
+    Each distance row is sorted once. A pick then leaves the pool: its row
+    goes, and so does its entry in every other row, which keeps each row
+    sorted over the clients still in the pool. Every Krum score is so the
+    same sum of the same values as when the pool's distances are sorted
+    afresh, and a pick can never be picked again. Ties go to the lower
+    index. A pick from a pool of m clients scores over m - f - 2 peers and
+    the last pool holds 2f + 1, so for f in {1, 2} mutual nearest
+    neighbours tie exactly and the selection depends on client order.
     """
-    x = as_gradient_matrix(gradients)
-    n = x.shape[0]
+    x = _as_points(gradients)
+    stack = x if x.ndim == 3 else x[None]
+    groups, n = stack.shape[:2]
     if n < 4 * f + 2:
         raise ValueError(f"bulyan requires n >= 4f+2, got n={n}, f={f}")
-    sq = pairwise_sq_dists(x)
-    pool = list(range(n))
-    chosen: list[int] = []
-    for _ in range(n - 2 * f):
-        sub = sq[np.ix_(pool, pool)]
-        scores = _krum_scores(sub, f)
-        best = pool[int(np.argmin(scores))]  # argmin is stable: first minimum wins
-        chosen.append(best)
-        pool.remove(best)
-    return np.sort(np.asarray(chosen))
+    sq = pairwise_sq_dists(stack)
+    diag = np.arange(n)
+    sq[:, diag, diag] = np.inf
+    order = np.argsort(sq, axis=-1)  # the client behind each sorted distance
+    dist = np.take_along_axis(sq, order, axis=-1)
+    # the pool stays ascending, so argmin's first minimum is the lowest index
+    pool = np.broadcast_to(diag, (groups, n))
+    chosen = np.empty((groups, n - 2 * f), dtype=np.intp)
+    for step in range(n - 2 * f):
+        m = n - step
+        scores = dist[..., : max(0, m - f - 2)].sum(axis=-1)
+        best = np.argmin(scores, axis=-1)
+        chosen[:, step] = pick = pool[np.arange(groups), best]
+        rows = np.arange(m) != best[:, None]
+        stay = rows[:, :, None] & (order != pick[:, None, None])
+        pool = pool[rows].reshape(groups, m - 1)
+        dist = dist[stay].reshape(groups, m - 1, m - 1)
+        order = order[stay].reshape(groups, m - 1, m - 1)
+    chosen.sort(axis=-1)
+    return chosen if x.ndim == 3 else chosen[0]
 
 
 def bulyan(gradients, f: int) -> np.ndarray:
@@ -188,15 +214,13 @@ def bulyan(gradients, f: int) -> np.ndarray:
 
 
 def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
-    """Bulyan's second stage on the rows Krum selected."""
-    theta = sel.shape[0]
-    beta = theta - 2 * f
-    med = coordinate_median(sel)
-    gaps = np.abs(sel - med)
+    """Bulyan's second stage on the rows Krum selected, per matrix."""
+    beta = sel.shape[-2] - 2 * f
+    gaps = np.abs(sel - coordinate_median(sel)[..., None, :])
     # lexsort: primary key distance-to-median, secondary key the value itself
-    order = np.lexsort((sel, gaps), axis=0)
-    nearest = np.take_along_axis(sel, order[:beta], axis=0)
-    return nearest.mean(axis=0)
+    order = np.lexsort((sel, gaps), axis=-2)
+    nearest = np.take_along_axis(sel, order[..., :beta, :], axis=-2)
+    return nearest.mean(axis=-2)
 
 
 def geometric_median(gradients, iters: int = 3, eps: float = 1e-8) -> np.ndarray:
@@ -205,15 +229,15 @@ def geometric_median(gradients, iters: int = 3, eps: float = 1e-8) -> np.ndarray
     Point weights are 1 / max(eps, ||z - g_i||); `iters` fixed-point updates
     are applied (no early stopping, for determinism).
     """
-    x = as_gradient_matrix(gradients)
+    x = _as_points(gradients)
     if iters < 1:
         raise ValueError("geometric_median requires iters >= 1")
     if eps <= 0:
         raise ValueError("geometric_median requires eps > 0")
-    z = x.mean(axis=0)
+    z = x.mean(axis=-2)
     for _ in range(iters):
-        w = 1.0 / np.maximum(eps, np.linalg.norm(x - z, axis=1))
-        z = (w[:, None] * x).sum(axis=0) / w.sum()
+        w = 1.0 / np.maximum(eps, np.linalg.norm(x - z[..., None, :], axis=-1))
+        z = (w[..., None] * x).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -226,57 +250,85 @@ def dnc_survivors(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 1
     and marks the floor(c*f) clients with the largest squared projection
     onto the top right singular direction.
     """
-    x = as_gradient_matrix(gradients)
-    n, d = x.shape
+    return _dnc_survivors(as_gradient_matrix(gradients)[None], f, c, niters, b, seed)[0]
+
+
+def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, seed):
+    """`dnc_survivors` of each matrix of a stack, `seed` as `aggregate` takes it.
+
+    Returns a (groups, m) array, or a list of one array per matrix when the
+    filtering rounds keep unequal counts.
+    """
+    n, k = stack.shape[-2:]
     n_remove = int(np.floor(c * f))
     if n <= n_remove:
         raise ValueError(f"dnc requires n > floor(c*f), got n={n}, floor(c*f)={n_remove}")
     if b < 1:
         raise ValueError("dnc requires b >= 1")
-    seed = seed if seed is not None else SeedSpec(0)
-    marked = np.zeros(n, dtype=bool)
+    if seed is None or isinstance(seed, SeedSpec):
+        seeds = [seed or SeedSpec(0)] * len(stack)
+    else:
+        seeds = list(seed)
+    rows = stack.swapaxes(-1, -2)
+    kept = np.ones(stack.shape[:2], dtype=bool)
     for it in range(niters):
-        rng = seed.child("dnc_coords", it).generator()
-        cols = np.sort(rng.choice(d, size=min(b, d), replace=False))
-        sub = x[:, cols]
-        centered = sub - sub.mean(axis=0)
-        scores = _spectral_scores(centered, seed.child("dnc_power", it))
+        if b >= k:  # the sorted sample of every coordinate is 0..k-1: no draw
+            sub = rows.copy()
+        else:
+            cols = np.stack([np.sort(s.child("dnc_coords", it).generator().choice(k, size=b, replace=False))
+                             for s in seeds])
+            sub = np.take_along_axis(rows, cols[:, :, None], axis=-2)
+        sub = sub.swapaxes(-1, -2)  # each matrix column-major, as x[:, cols] is
+        centered = sub - sub.mean(axis=-2, keepdims=True)
+        scores = _spectral_scores(centered, [s.child("dnc_power", it) for s in seeds])
         # mark the n_remove largest scores, ties toward the lower index
-        order = np.lexsort((np.arange(n), -scores))
-        marked[order[:n_remove]] = True
-    survivors = np.flatnonzero(~marked)
-    if survivors.size == 0:
+        order = np.argsort(-scores, axis=-1, kind="stable")
+        np.put_along_axis(kept, order[:, :n_remove], False, axis=-1)
+    counts = kept.sum(axis=-1)
+    if (counts == 0).any():
         raise ValueError("dnc removed everyone")
-    return survivors
+    if (counts == counts[0]).all():
+        return np.nonzero(kept)[1].reshape(len(stack), -1)
+    return [np.flatnonzero(row) for row in kept]
 
 
-def _spectral_scores(centered: np.ndarray, seed: SeedSpec) -> np.ndarray:
+def _spectral_scores(centered: np.ndarray, seeds) -> np.ndarray:
     """Squared projections onto the top right singular direction of `centered`.
 
-    Power iteration runs on the n x n Gram matrix; the start vector is the
-    image under `centered` of a seeded coordinate-space draw, which keeps
-    the iterates equivariant to client reordering.
+    Takes one (n, k) matrix and its SeedSpec, or a (groups, n, k) stack and
+    one SeedSpec per matrix. Power iteration runs on the n x n Gram matrix;
+    the start vector is the image under `centered` of a seeded
+    coordinate-space draw, which keeps the iterates equivariant to client
+    reordering. A matrix whose iterate vanishes has no spectral direction,
+    and all its scores are zero.
     """
-    n, k = centered.shape
-    gram = centered @ centered.T
-    v0 = seed.generator().standard_normal(k)
-    u = centered @ v0
-    norm = np.linalg.norm(u)
-    if norm == 0.0:  # all rows identical: no spectral direction, all scores zero
-        return np.zeros(n)
-    u = u / norm
+    if centered.ndim == 2:
+        return _spectral_scores(centered[None], [seeds])[0]
+    gram = centered @ centered.swapaxes(-1, -2)
+    v0 = np.stack([s.generator().standard_normal(centered.shape[-1]) for s in seeds])
+    flat = np.zeros(len(seeds), dtype=bool)
+    u = _unit(centered @ v0[..., None], flat)
     for _ in range(_POWER_ITERATIONS):
-        u_next = gram @ u
-        norm = np.linalg.norm(u_next)
-        if norm == 0.0:
-            return np.zeros(n)
-        u = u_next / norm
-    v = centered.T @ u
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
-        return np.zeros(n)
-    proj = centered @ (v / vnorm)
-    return proj * proj
+        u = _unit(gram @ u, flat)
+    v = _unit(centered.swapaxes(-1, -2) @ u, flat)
+    proj = (centered @ v)[..., 0]
+    scores = proj * proj
+    scores[flat] = 0.0
+    return scores
+
+
+def _unit(u: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Each (m, 1) vector of a stack over its l2 norm; marks zero vectors in `flat`.
+
+    `u^T u` is the same dot product `np.linalg.norm` takes of one vector.
+    A zero vector is divided by 1 and stays zero.
+    """
+    norm = np.sqrt(np.swapaxes(u, -1, -2) @ u)
+    if not norm.all():
+        zero = norm[:, 0, 0] == 0.0
+        flat |= zero
+        norm[zero] = 1.0
+    return u / norm
 
 
 def dnc(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 10000,
@@ -285,39 +337,64 @@ def dnc(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 10000,
     return x[dnc_survivors(x, f, c, niters, b, seed)].mean(axis=0)
 
 
+def _kept_mean(stack: np.ndarray, chosen) -> np.ndarray:
+    """Per matrix, the mean of its chosen rows, gathered C-ordered as `x[sel]` is."""
+    if isinstance(chosen, list):  # one index array per matrix, of unequal lengths
+        return np.stack([matrix[rows].mean(axis=0) for matrix, rows in zip(stack, chosen)])
+    return stack[np.arange(len(stack))[:, None], chosen].mean(axis=1)
+
+
+def _apply(spec: AggregatorSpec, stack: np.ndarray, f: int, seed) -> tuple[np.ndarray, object]:
+    """The rule `spec` on each matrix of a (groups, n, k) stack.
+
+    Returns the (groups, k) aggregates and the ascending indices of the
+    clients each matrix kept: a (groups, m) array, a list of arrays when DnC
+    filtering over several rounds keeps unequal counts, or None for a rule
+    without a selection step.
+    """
+    if spec.kind == "mean":
+        return stack.mean(axis=-2), None
+    if spec.kind == "median":
+        return coordinate_median(stack), None
+    if spec.kind == "trimmed_mean":
+        return coordinate_trimmed_mean(stack, f), None
+    if spec.kind == "geometric_median":
+        return geometric_median(stack, spec.iters, spec.eps), None
+    if spec.kind == "bulyan":
+        chosen = bulyan_selection(stack, f)
+        return _bulyan_average(stack[np.arange(len(stack))[:, None], chosen], f), chosen
+    if spec.kind == "multi_krum":
+        chosen = multi_krum_selection(stack, f)
+    elif spec.kind == "dnc":
+        chosen = _dnc_survivors(stack, f, spec.c, spec.niters, spec.b, seed)
+    else:
+        raise ValueError(f"unknown aggregator kind {spec.kind!r}")
+    return _kept_mean(stack, chosen), chosen
+
+
 def aggregate_with_selection(spec: AggregatorSpec, gradients, f: int,
                              seed: SeedSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to `spec.kind`; also report which clients the rule kept.
+    """`aggregate` on an (n, k) matrix; also report which clients the rule kept.
 
     Rules without an explicit selection step (mean, median, trimmed_mean,
     geometric_median) report every client as selected.
     """
+    x = _check_shared(as_gradient_matrix(gradients), f)
+    centers, chosen = _apply(spec, x[None], f, seed)
+    return centers[0], np.arange(x.shape[0]) if chosen is None else chosen[0]
+
+
+def aggregate(spec: AggregatorSpec, gradients, f: int, seed=None) -> np.ndarray:
+    """Apply the rule named by `spec` to n gradients with Byzantine count f.
+
+    An (n, k) matrix gives a (k,) aggregate. A (groups, n, k) stack gives a
+    (groups, k) array whose row g is bit for bit what matrix g gives alone.
+    `seed` is one SeedSpec for every matrix or an iterable of one per
+    matrix; only DnC draws from it, and only then is it iterated.
+    """
     x = _check_shared(gradients, f)
-    n = x.shape[0]
-    everyone = np.arange(n)
-    if spec.kind == "mean":
-        return x.mean(axis=0), everyone
-    if spec.kind == "median":
-        return coordinate_median(x), everyone
-    if spec.kind == "trimmed_mean":
-        return coordinate_trimmed_mean(x, f), everyone
-    if spec.kind == "multi_krum":
-        sel = multi_krum_selection(x, f)
-        return x[sel].mean(axis=0), sel
-    if spec.kind == "bulyan":
-        sel = bulyan_selection(x, f)
-        return _bulyan_average(x[sel], f), sel
-    if spec.kind == "geometric_median":
-        return geometric_median(x, spec.iters, spec.eps), everyone
-    if spec.kind == "dnc":
-        sel = dnc_survivors(x, f, spec.c, spec.niters, spec.b, seed)
-        return x[sel].mean(axis=0), sel
-    raise ValueError(f"unknown aggregator kind {spec.kind!r}")
-
-
-def aggregate(spec: AggregatorSpec, gradients, f: int, seed: SeedSpec | None = None) -> np.ndarray:
-    """Apply the rule named by `spec` to n gradients with Byzantine count f."""
-    return aggregate_with_selection(spec, gradients, f, seed)[0]
+    centers = _apply(spec, x if x.ndim == 3 else x[None], f, seed)[0]
+    return centers if x.ndim == 3 else centers[0]
 
 
 def bucketing_wrap(spec: AggregatorSpec, gradients, f: int, s: int,
@@ -327,7 +404,7 @@ def bucketing_wrap(spec: AggregatorSpec, gradients, f: int, s: int,
     Worst case every Byzantine client lands in its own bucket, so the inner
     rule keeps Byzantine count f and the bucket count must exceed 2f.
     """
-    x = _check_shared(gradients, f)
+    x = _check_shared(as_gradient_matrix(gradients), f)
     n = x.shape[0]
     if s < 1:
         raise ValueError(f"bucket size must be >= 1, got s={s}")
@@ -377,7 +454,6 @@ __all__ = [
     "AggregatorSpec", "ResilienceReport", "KINDS",
     "aggregate", "aggregate_with_selection", "bucketing_wrap",
     "coordinate_median", "coordinate_trimmed_mean", "multi_krum", "multi_krum_selection",
-    "multi_krum_selections",
     "bulyan", "bulyan_selection", "geometric_median", "dnc", "dnc_survivors",
     "estimate_resilience", "mean",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference as ref
-from .aggregators import (AggregatorSpec, bulyan, bulyan_selection, coordinate_median,
+from .aggregators import (KINDS, AggregatorSpec, bulyan, bulyan_selection, coordinate_median,
                           coordinate_trimmed_mean, geometric_median, multi_krum,
                           _krum_scores, _spectral_scores)
 from .core import SeedSpec, pairwise_sq_dists
@@ -130,9 +130,9 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
 def _gas_per_group_gap(rng: np.random.Generator, case_seed: SeedSpec) -> float:
     """Worst gap between gas_aggregate and a table built group by group.
 
-    The instance has uneven group sizes (d mod p != 0). Every base must give
-    the same selection, group scores and totals bit for bit; a mismatch
-    counts as a gap of 1.
+    The instance has uneven group sizes (d mod p != 0). Every base, with f
+    drawn within its own bound, must give the same selection, group scores
+    and totals bit for bit; a mismatch counts as a gap of 1.
     """
     n = int(rng.integers(5, 12))
     f = int(rng.integers(0, min(n - 3, (n - 1) // 2) + 1))
@@ -140,18 +140,21 @@ def _gas_per_group_gap(rng: np.random.Generator, case_seed: SeedSpec) -> float:
     p = int(rng.choice([q for q in range(2, d) if d % q]))
     x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
     rnd = int(rng.integers(0, 100))
-    for kind in ("median", "mean", "trimmed_mean", "multi_krum"):
-        cfg = GasConfig(p=p, base=AggregatorSpec(kind), selection=KnownF(f),
+    # bulyan needs n >= 4f + 2 and dnc n > floor(4f); the others take the f above
+    bounds = {"bulyan": (n - 2) // 4, "dnc": (n - 1) // 4}
+    for kind in KINDS:
+        f_kind = int(rng.integers(0, bounds[kind] + 1)) if kind in bounds else f
+        cfg = GasConfig(p=p, base=AggregatorSpec(kind), selection=KnownF(f_kind),
                         seed=case_seed.child("gas_groups"))
         agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
         round_seed = cfg.seed.child("round", rnd)
         scores = np.empty((n, p))
         totals = np.zeros(n)
         for q, subset in enumerate(part.subsets):
-            _, scores[:, q] = group_scores(x[:, subset], cfg.base, f,
+            _, scores[:, q] = group_scores(x[:, subset], cfg.base, f_kind,
                                            seed=round_seed.child("group", q))
             totals += scores[:, q]
-        kept = sorted(sorted(range(n), key=lambda i: (totals[i], i))[: n - f])
+        kept = sorted(sorted(range(n), key=lambda i: (totals[i], i))[: n - f_kind])
         if not (np.array_equal(table.group_scores, scores) and np.array_equal(table.totals, totals)
                 and sel.selected.tolist() == kept
                 and np.array_equal(agg, x[kept].mean(axis=0))):

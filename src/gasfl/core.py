@@ -130,6 +130,11 @@ def as_gradient_matrix(gradients) -> np.ndarray:
     return np.stack(rows)
 
 
+# Squared row norms below this keep sq_i + sq_j - 2 g_ij, and each of its
+# terms, inside the float range.
+_GRAM_LIMIT = 2.0 ** 1021
+
+
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Squared l2 distances between the rows of an (n, k) matrix or a (..., n, k) stack.
 
@@ -152,17 +157,43 @@ def centered_sq_dists(c: np.ndarray) -> np.ndarray:
 
     A caller that holds the centered rows anyway saves the copy: for a
     C-ordered matrix x, passing `x - x.mean(axis=0)` gives exactly
-    `pairwise_sq_dists(x)`.
+    `pairwise_sq_dists(x)`. A matrix whose squared row norms reach
+    `_GRAM_LIMIT` would overflow the Gram form into inf - inf = NaN. Such a
+    matrix is found from the Gram diagonal, scaled by a power of two that
+    brings its largest entry below 1, and its distances are scaled back,
+    saturating at inf; other matrices keep their bits and pay no extra pass.
     """
-    gram = c @ np.swapaxes(c, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal below
+        gram = c @ np.swapaxes(c, -1, -2)
     sq = np.diagonal(gram, axis1=-2, axis2=-1)
+    shift = None
+    if (sq >= _GRAM_LIMIT).any():
+        shift = _overflow_shift(c, sq)
+        c = np.ldexp(c, -shift)
+        gram = c @ np.swapaxes(c, -1, -2)
+        sq = np.diagonal(gram, axis1=-2, axis2=-1)
     dists = sq[..., :, None] + sq[..., None, :]
     gram *= -2.0
     dists += gram
     np.maximum(dists, 0.0, out=dists)
     diag = np.arange(dists.shape[-1])
     dists[..., diag, diag] = 0.0
+    if shift is not None:
+        with np.errstate(over="ignore"):
+            np.ldexp(dists, 2 * shift, out=dists)
     return dists
+
+
+def _overflow_shift(c: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Per matrix of `c`, the power of two its entries are divided by.
+
+    It is that of the largest entry for a matrix with a squared row norm of
+    at least `_GRAM_LIMIT`, and 0 for any other matrix, as for one holding a
+    non-finite entry, which no scaling makes finite.
+    """
+    peak = np.abs(c).max(axis=(-2, -1), keepdims=True)
+    huge = (sq >= _GRAM_LIMIT).any(axis=-1)[..., None, None] & np.isfinite(peak)
+    return np.where(huge, np.frexp(peak)[1], 0)
 
 
 def check_server_ingress(matrix: np.ndarray) -> None:

@@ -11,13 +11,11 @@ The gradients are transposed once into a C-ordered (d, n) copy. Group sizes
 differ by at most one, so the groups are walked in blocks of equal-size
 groups, each block at most `_BLOCK_BYTES` and gathered once into a
 (size, groups, n) buffer; memory beyond the copy stays fixed whatever d is.
-A coordinate-wise base rule (mean, median, trimmed mean) gives each group
-the same aggregate whether it runs per group or once on the full matrix, so
-it runs once. Multi-Krum runs on each block's (groups, n, size) view with
-one batched Gram product, and a group gets the same selection as it would
-alone. Bulyan, geometric median and DnC run group by group. The group
-scores of a block are then taken in place on its buffer. `group_scores` is
-the one-group form, kept as the straight-line reference.
+Whatever the base rule, it runs once per block, through `aggregate`, on the
+buffer's (groups, n, size) view, and gives each group bit for bit the
+aggregate it gives that group alone. The group scores of a block are then
+taken in place on its buffer. `group_scores` is the one-group form, kept as
+the straight-line reference.
 """
 
 from __future__ import annotations
@@ -27,11 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _check_shared, aggregate, multi_krum_selections
+from .aggregators import AggregatorSpec, aggregate
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
-
-# Base rules whose output at each coordinate depends only on that coordinate.
-_SEPARABLE_BASES = ("mean", "median", "trimmed_mean")
 
 # Bytes of client rows gathered per block of groups: the scoring holds about
 # two blocks beside the (d, n) transposed copy, whatever d is.
@@ -155,13 +150,13 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     call is a pure function of (config, gradients, round). The gradients are
     transposed once into a C-ordered (d, n) copy, and the groups are walked
     in blocks of equal-size groups, each gathered once into a
-    (size, groups, n) buffer. A separable base rule runs once on the full
-    matrix, Multi-Krum once per block, and any other rule once per group,
-    seeded per group. Each block's scores are then taken in place and
-    reduced over its leading axis, so every group norm adds its coordinates
-    one at a time in ascending order, as the row norms of the column-major
-    `x[:, subset]` in `group_scores` do. Totals are summed in ascending
-    group order.
+    (size, groups, n) buffer. The base rule runs once per block on the
+    buffer's (groups, n, size) view; group q's seed, which only DnC draws
+    from, is the round seed's child ("group", q). Each block's scores are
+    then taken in place and reduced over its leading axis, so every group
+    norm adds its coordinates one at a time in ascending order, as the row
+    norms of the column-major `x[:, subset]` in `group_scores` do; a norm
+    past the float range is inf. Totals are summed in ascending group order.
     """
     x = as_gradient_matrix(gradients)
     n, d = x.shape
@@ -178,33 +173,17 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     partition = make_partition(d, min(config.p, d), part_seed)
 
     xt = np.ascontiguousarray(x.T)
-    krum = config.base.kind == "multi_krum"
-    if config.base.kind in _SEPARABLE_BASES:
-        # column-major, like each x[:, subset]: every coordinate then reduces
-        # over clients in the same order as it would within its own group
-        center = aggregate(config.base, xt.T, base_f)
-    elif krum:
-        _check_shared(x, base_f)  # the precondition `aggregate` checks per group
-        center = np.empty(d)
-    else:
-        round_seed = config.seed.child("round", round)
-        center = np.empty(d)
-        for q, subset in enumerate(partition.subsets):
-            center[subset] = aggregate(config.base, xt[subset].T, base_f,
-                                       seed=round_seed.child("group", q))
-
+    round_seed = config.seed.child("round", round)
     scores = np.empty((partition.p, n))
     for first, cols in _group_blocks(partition, n):
         block = np.take(xt, cols.T, axis=0)  # (size, groups, n)
-        if krum:
-            stack = block.transpose(1, 2, 0)  # (groups, n, size)
-            kept = multi_krum_selections(stack, base_f)
-            # (groups, n - f, size) rows, averaged in client order like the
-            # rows `aggregate` averages for a single group
-            center[cols] = stack[np.arange(cols.shape[0])[:, None], kept].mean(axis=1)
-        block -= center[cols.T][:, :, None]
-        block *= block
-        np.sqrt(np.add.reduce(block, axis=0), out=scores[first:first + cols.shape[0]])
+        groups = range(first, first + cols.shape[0])
+        center = aggregate(config.base, block.transpose(1, 2, 0), base_f,
+                           seed=(round_seed.child("group", q) for q in groups))
+        block -= center.T[:, :, None]
+        with np.errstate(over="ignore"):
+            block *= block
+            np.sqrt(np.add.reduce(block, axis=0), out=scores[first:first + len(groups)])
     table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
     result = select_clients(table.totals, keep_count)
     return _mean_of_rows(x, result.selected), table, result, partition

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasfl import attacks
-from gasfl.aggregators import (AggregatorSpec, bulyan_selection, estimate_resilience,
-                               multi_krum_selection)
+from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, bulyan_selection,
+                               estimate_resilience, multi_krum_selection)
 from gasfl.core import SeedSpec, pairwise_sq_dists
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
 
@@ -111,9 +111,97 @@ def test_bulyan_selection_translation_and_permutation_invariant(data, f_share):
         assert np.array_equal(np.sort(perm[bulyan_selection(x[perm], f)]), sel)
 
 
+# a finite upload whose squared norm overflows ------------------------------------
+
+@pytest.mark.parametrize("big", [1e154, 1e160, 1e300, np.finfo(float).max])
+def test_huge_finite_row_is_dropped_without_nan(big):
+    # the row pulls the centering mean far out, so its squared norm, and the
+    # honest ones, overflow the Gram form unless it is rescaled
+    x = np.random.default_rng(0).standard_normal((12, 5))
+    x[0] = big
+    sq = pairwise_sq_dists(x)
+    assert not np.isnan(sq).any()
+    assert (sq[0, 1:] > 0).all()
+    assert np.array_equal(multi_krum_selection(x, 2), np.arange(1, 11))
+    assert np.array_equal(bulyan_selection(x, 2), np.arange(1, 9))
+    for base in ("multi_krum", "bulyan"):
+        cfg = GasConfig(p=2, base=AggregatorSpec(base), selection=KnownF(2), seed=SeedSpec(0))
+        agg, table, sel, _ = gas_aggregate(cfg, x)
+        assert 0 not in sel.selected and table.totals[0] == np.inf, base
+        assert np.array_equal(agg, x[sel.selected].mean(axis=0)), base
+
+
+def test_bulyan_never_repicks_when_every_score_is_inf():
+    # rows on distinct axes at the float maximum: every distance saturates to
+    # inf, so every Krum score in every pool is inf and the pool order decides
+    x = np.eye(6) * np.finfo(float).max
+    assert np.isposinf(pairwise_sq_dists(x)[~np.eye(6, dtype=bool)]).all()
+    assert np.array_equal(bulyan_selection(x, 1), [0, 1, 2, 3])
+    stack = np.stack([x, x[::-1]])
+    assert np.array_equal(bulyan_selection(stack, 1), [[0, 1, 2, 3], [0, 1, 2, 3]])
+
+
+# a stack scores each matrix as it would alone ------------------------------------
+
+@st.composite
+def stacks(draw):
+    """(groups, n, k) stacks: C-ordered or the transposed view GAS scores, with
+    rows far from the origin, repeated rows and k = 1."""
+    groups = draw(st.integers(1, 4), label="groups")
+    n = draw(st.integers(2, 12), label="n")
+    k = draw(st.sampled_from([1, 2, 5, 13]), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    buf = rng.standard_normal((k, groups, n)) * draw(st.sampled_from([1e-3, 1.0, 50.0]), label="scale")
+    buf += draw(st.sampled_from([0.0, 1e3, -1e6]), label="offset")
+    repeats = draw(st.lists(st.tuples(st.integers(0, groups - 1), st.integers(0, n - 1),
+                                      st.integers(0, n - 1)), max_size=4), label="repeats")
+    for g, src, dst in repeats:
+        buf[:, g, dst] = buf[:, g, src]
+    stack = buf.transpose(1, 2, 0)
+    if draw(st.booleans(), label="c_order"):
+        stack = np.ascontiguousarray(stack)
+    return stack
+
+
+def _max_f(kind, n):
+    if kind == "bulyan":
+        return (n - 2) // 4
+    if kind == "multi_krum":
+        return min(n - 3, (n - 1) // 2)
+    if kind == "dnc":
+        return (n - 1) // 4
+    return (n - 1) // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=stacks(), f_share=st.floats(0.0, 1.0))
+def test_stacked_aggregate_matches_each_matrix_alone(stack, f_share):
+    n = stack.shape[1]
+    specs = [AggregatorSpec(kind) for kind in KINDS]
+    # DnC drawing a coordinate sample, over rounds that can keep unequal counts
+    specs.append(AggregatorSpec("dnc", b=2, niters=2))
+    seed = SeedSpec(9)
+    for spec in specs:
+        if _max_f(spec.kind, n) < 0:
+            continue
+        f = int(f_share * _max_f(spec.kind, n))
+        stacked = aggregate(spec, stack, f, seed=seed)
+        assert stacked.shape == (stack.shape[0], stack.shape[2])
+        for g in range(stack.shape[0]):
+            alone = aggregate(spec, stack[g], f, seed=seed)
+            assert np.array_equal(stacked[g], alone), (spec, f, g)
+
+
 # memory stays bounded in d -------------------------------------------------------
 
 N, D, F = 50, 5000, 10
+
+
+def _gas(x, base):
+    return gas_aggregate(GasConfig(p=100, base=AggregatorSpec(base), selection=KnownF(F),
+                                   seed=SeedSpec(0)), x)
+
+
 # name -> (call, bound on its tracemalloc peak as a multiple of the input)
 MEMORY_CASES = {
     # one centered copy of the input, the std taken from it in column blocks
@@ -125,9 +213,9 @@ MEMORY_CASES = {
     "estimate_resilience": (lambda x: estimate_resilience(AggregatorSpec("multi_krum"), N, F, D,
                                                           1, SeedSpec(0)), 4),
     # one transposed copy, the groups gathered and scored block by block
-    "gas_aggregate": (lambda x: gas_aggregate(GasConfig(p=100, base=AggregatorSpec("multi_krum"),
-                                                        selection=KnownF(F), seed=SeedSpec(0)), x),
-                      2),
+    "gas_aggregate": (lambda x: _gas(x, "multi_krum"), 2),
+    **{f"gas_aggregate_{base}": (lambda x, base=base: _gas(x, base), 2)
+       for base in KINDS if base != "multi_krum"},
 }
 
 

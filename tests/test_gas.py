@@ -165,7 +165,7 @@ def test_gas_scores_match_per_group_path():
         per_block = max(1, _BLOCK_BYTES // (size * n * 8))
         assert per_block < count and count % per_block, (size, per_block)
     x = _rand(15, n, d)
-    for base in ("median", "mean", "trimmed_mean", "multi_krum"):
+    for base in ALL_BASES:
         _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(10)), 10, 4)
 
 
