@@ -6,6 +6,12 @@ divide-and-conquer spectral filtering (DnC), plus a bucketing wrapper and an
 empirical resilience certifier. Every rule is a pure function of its inputs;
 the seeded rules (DnC, bucketing) take an explicit SeedSpec.
 
+Each rule tolerates its own number of Byzantine clients: `max_f(spec, n)`
+is the largest f it accepts with n clients, and every entry point that takes
+an f (`aggregate`, `aggregate_with_selection`, `bucketing_wrap` and the
+one-matrix functions) checks 0 <= f <= max_f before any work. GAS, the
+config and the oracle read the same table.
+
 `aggregate` takes an (n, k) matrix or a (groups, n, k) stack of them, and
 dispatches on the rule's kind in one place, `_apply`, which always works on
 a stack. Each rule is written once, over the clients axis -2 of a stack, and
@@ -24,6 +30,7 @@ the same either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +68,10 @@ class AggregatorSpec:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.b < 1:
             raise ValueError(f"b must be >= 1, got {self.b}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if self.niters < 1:
+            raise ValueError(f"niters must be >= 1, got {self.niters}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,45 @@ def _as_points(gradients) -> np.ndarray:
     return as_gradient_matrix(gradients)
 
 
-def _check_shared(gradients, f: int) -> np.ndarray:
-    x = _as_points(gradients)
-    n = x.shape[-2]
-    if f < 0 or 2 * f >= n:
-        raise ValueError(f"Byzantine count must satisfy 0 <= f < n/2, got n={n}, f={f}")
-    return x
+# each rule's bound on f beyond f >= 0, as its error states it; `max_f` is its arithmetic
+_BOUND_TEXT = {
+    "trimmed_mean": "n > 2f",
+    "multi_krum": "f < n/2 and n >= f+3",
+    "bulyan": "n >= 4f+2",
+    "dnc": "f < n/2 and n > floor(c*f)*niters",
+}
+
+
+def max_f(spec: AggregatorSpec, n: int) -> int:
+    """The largest Byzantine count the rule accepts with n clients, or -1 if none.
+
+    Every rule needs f < n/2. Multi-Krum also needs n >= f + 3 and Bulyan
+    n >= 4f + 2. DnC removes floor(c*f) clients in each of its niters
+    rounds, so n > niters * floor(c*f) always leaves a survivor. Bucketing
+    is its inner rule's bound at ceil(n/s) buckets.
+    """
+    bound = (n - 1) // 2
+    if spec.kind == "multi_krum":
+        bound = min(n - 3, bound)
+    elif spec.kind == "bulyan":
+        bound = (n - 2) // 4
+    elif spec.kind == "dnc":  # the count DnC removes, as it takes it
+        while bound > 0 and spec.niters * math.floor(spec.c * bound) >= n:
+            bound -= 1
+    return max(bound, -1)
+
+
+def _check_f(spec: AggregatorSpec, n: int, f: int, s: int | None = None) -> None:
+    """Raise unless 0 <= f <= max_f(spec, n), at ceil(n/s) buckets when s is given."""
+    m = n if s is None else -(-n // s)
+    if 0 <= f <= max_f(spec, m):
+        return
+    if s is not None:
+        raise ValueError(f"too few buckets: {spec.kind} over ceil(n/s)={m} buckets tolerates "
+                         f"f <= {max_f(spec, m)}, got n={n}, s={s}, f={f}")
+    params = f", c={spec.c}, niters={spec.niters}" if spec.kind == "dnc" else ""
+    raise ValueError(f"{spec.kind} requires f >= 0 and {_BOUND_TEXT.get(spec.kind, 'f < n/2')}, "
+                     f"got n={n}, f={f}{params}")
 
 
 def coordinate_median(gradients) -> np.ndarray:
@@ -122,8 +166,7 @@ def coordinate_trimmed_mean(gradients, f: int) -> np.ndarray:
     """Drop the f largest and f smallest values per coordinate, average the rest."""
     x = _as_points(gradients)
     n = x.shape[-2]
-    if n <= 2 * f:
-        raise ValueError(f"trimmed_mean requires n > 2f, got n={n}, f={f}")
+    _check_f(AggregatorSpec("trimmed_mean"), n, f)
     return np.sort(x, axis=-2)[..., f : n - f, :].mean(axis=-2)
 
 
@@ -149,8 +192,7 @@ def multi_krum_selection(gradients, f: int) -> np.ndarray:
     """
     x = _as_points(gradients)
     n = x.shape[-2]
-    if n < f + 3:
-        raise ValueError(f"multi_krum requires n >= f+3, got n={n}, f={f}")
+    _check_f(AggregatorSpec("multi_krum"), n, f)
     scores = _krum_scores(pairwise_sq_dists(x), f)
     chosen = np.argsort(scores, axis=-1, kind="stable")[..., : n - f]
     return np.sort(chosen, axis=-1)
@@ -178,8 +220,7 @@ def bulyan_selection(gradients, f: int) -> np.ndarray:
     x = _as_points(gradients)
     stack = x if x.ndim == 3 else x[None]
     groups, n = stack.shape[:2]
-    if n < 4 * f + 2:
-        raise ValueError(f"bulyan requires n >= 4f+2, got n={n}, f={f}")
+    _check_f(AggregatorSpec("bulyan"), n, f)
     sq = pairwise_sq_dists(stack)
     diag = np.arange(n)
     sq[:, diag, diag] = np.inf
@@ -229,11 +270,8 @@ def geometric_median(gradients, iters: int = 3, eps: float = 1e-8) -> np.ndarray
     Point weights are 1 / max(eps, ||z - g_i||); `iters` fixed-point updates
     are applied (no early stopping, for determinism).
     """
+    AggregatorSpec("geometric_median", iters=iters, eps=eps)  # checks iters and eps
     x = _as_points(gradients)
-    if iters < 1:
-        raise ValueError("geometric_median requires iters >= 1")
-    if eps <= 0:
-        raise ValueError("geometric_median requires eps > 0")
     z = x.mean(axis=-2)
     for _ in range(iters):
         w = 1.0 / np.maximum(eps, np.linalg.norm(x - z[..., None, :], axis=-1))
@@ -250,21 +288,19 @@ def dnc_survivors(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 1
     and marks the floor(c*f) clients with the largest squared projection
     onto the top right singular direction.
     """
-    return _dnc_survivors(as_gradient_matrix(gradients)[None], f, c, niters, b, seed)[0]
+    x = as_gradient_matrix(gradients)
+    _check_f(AggregatorSpec("dnc", c=c, niters=niters, b=b), x.shape[0], f)
+    return _dnc_survivors(x[None], f, c, niters, b, seed)[0]
 
 
 def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, seed):
     """`dnc_survivors` of each matrix of a stack, `seed` as `aggregate` takes it.
 
     Returns a (groups, m) array, or a list of one array per matrix when the
-    filtering rounds keep unequal counts.
+    filtering rounds keep unequal counts. f within `max_f` leaves m >= 1.
     """
-    n, k = stack.shape[-2:]
-    n_remove = int(np.floor(c * f))
-    if n <= n_remove:
-        raise ValueError(f"dnc requires n > floor(c*f), got n={n}, floor(c*f)={n_remove}")
-    if b < 1:
-        raise ValueError("dnc requires b >= 1")
+    k = stack.shape[-1]
+    n_remove = math.floor(c * f)
     if seed is None or isinstance(seed, SeedSpec):
         seeds = [seed or SeedSpec(0)] * len(stack)
     else:
@@ -285,8 +321,6 @@ def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, see
         order = np.argsort(-scores, axis=-1, kind="stable")
         np.put_along_axis(kept, order[:, :n_remove], False, axis=-1)
     counts = kept.sum(axis=-1)
-    if (counts == 0).any():
-        raise ValueError("dnc removed everyone")
     if (counts == counts[0]).all():
         return np.nonzero(kept)[1].reshape(len(stack), -1)
     return [np.flatnonzero(row) for row in kept]
@@ -379,7 +413,8 @@ def aggregate_with_selection(spec: AggregatorSpec, gradients, f: int,
     Rules without an explicit selection step (mean, median, trimmed_mean,
     geometric_median) report every client as selected.
     """
-    x = _check_shared(as_gradient_matrix(gradients), f)
+    x = as_gradient_matrix(gradients)
+    _check_f(spec, x.shape[0], f)
     centers, chosen = _apply(spec, x[None], f, seed)
     return centers[0], np.arange(x.shape[0]) if chosen is None else chosen[0]
 
@@ -392,7 +427,8 @@ def aggregate(spec: AggregatorSpec, gradients, f: int, seed=None) -> np.ndarray:
     `seed` is one SeedSpec for every matrix or an iterable of one per
     matrix; only DnC draws from it, and only then is it iterated.
     """
-    x = _check_shared(gradients, f)
+    x = _as_points(gradients)
+    _check_f(spec, x.shape[-2], f)
     centers = _apply(spec, x if x.ndim == 3 else x[None], f, seed)[0]
     return centers if x.ndim == 3 else centers[0]
 
@@ -402,15 +438,14 @@ def bucketing_wrap(spec: AggregatorSpec, gradients, f: int, s: int,
     """Permute clients, average ceil(n/s) consecutive buckets, aggregate the means.
 
     Worst case every Byzantine client lands in its own bucket, so the inner
-    rule keeps Byzantine count f and the bucket count must exceed 2f.
+    rule keeps Byzantine count f over ceil(n/s) buckets, within its `max_f`.
     """
-    x = _check_shared(as_gradient_matrix(gradients), f)
+    x = as_gradient_matrix(gradients)
     n = x.shape[0]
     if s < 1:
         raise ValueError(f"bucket size must be >= 1, got s={s}")
+    _check_f(spec, n, f, s)
     n_buckets = -(-n // s)
-    if n_buckets <= 2 * f:
-        raise ValueError(f"too few buckets: ceil(n/s)={n_buckets} must exceed 2f={2 * f}")
     seed = seed if seed is not None else SeedSpec(0)
     perm = seed.child("bucketing").generator().permutation(n)
     means = np.stack([x[chunk].mean(axis=0) for chunk in np.array_split(perm, n_buckets)])
@@ -455,5 +490,5 @@ __all__ = [
     "aggregate", "aggregate_with_selection", "bucketing_wrap",
     "coordinate_median", "coordinate_trimmed_mean", "multi_krum", "multi_krum_selection",
     "bulyan", "bulyan_selection", "geometric_median", "dnc", "dnc_survivors",
-    "estimate_resilience", "mean",
+    "estimate_resilience", "max_f", "mean",
 ]

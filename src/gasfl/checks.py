@@ -15,7 +15,7 @@ import numpy as np
 
 from . import reference as ref
 from .aggregators import (KINDS, AggregatorSpec, bulyan, bulyan_selection, coordinate_median,
-                          coordinate_trimmed_mean, geometric_median, multi_krum,
+                          coordinate_trimmed_mean, geometric_median, max_f, multi_krum,
                           _krum_scores, _spectral_scores)
 from .core import SeedSpec, pairwise_sq_dists
 from .gas import GasConfig, KnownF, gas_aggregate, group_scores
@@ -72,18 +72,18 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
 
     if suite == "trimmed_mean":
         x, n = _random_instance(rng, n_min=3)
-        f = int(rng.integers(0, (n - 1) // 2 + 1))
+        f = int(rng.integers(0, max_f(AggregatorSpec("trimmed_mean"), n) + 1))
         return float(np.abs(coordinate_trimmed_mean(x, f) - ref.trimmed_mean_reference(x, f)).max())
 
     if suite == "krum":
         x, n = _random_instance(rng, n_min=4)
-        f = int(rng.integers(0, min(n - 3, (n - 1) // 2) + 1))
+        f = int(rng.integers(0, max_f(AggregatorSpec("multi_krum"), n) + 1))
         gap = float(np.abs(_krum_scores(pairwise_sq_dists(x), f) - ref.krum_scores_reference(x, f)).max())
         return max(gap, float(np.abs(multi_krum(x, f) - ref.multi_krum_reference(x, f)).max()))
 
     if suite == "bulyan":
         n = int(rng.integers(6, 12))
-        f = int(rng.integers(0, (n - 2) // 4 + 1))
+        f = int(rng.integers(0, max_f(AggregatorSpec("bulyan"), n) + 1))
         x = rng.standard_normal((n, int(rng.integers(1, 6))))
         sel_gap = 0.0 if np.array_equal(bulyan_selection(x, f),
                                         np.asarray(ref.bulyan_selection_reference(x, f))) else 1.0
@@ -135,16 +135,17 @@ def _gas_per_group_gap(rng: np.random.Generator, case_seed: SeedSpec) -> float:
     and totals bit for bit; a mismatch counts as a gap of 1.
     """
     n = int(rng.integers(5, 12))
-    f = int(rng.integers(0, min(n - 3, (n - 1) // 2) + 1))
+    f = int(rng.integers(0, max_f(AggregatorSpec("multi_krum"), n) + 1))
     d = int(rng.integers(3, 40))
     p = int(rng.choice([q for q in range(2, d) if d % q]))
     x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
     rnd = int(rng.integers(0, 100))
-    # bulyan needs n >= 4f + 2 and dnc n > floor(4f); the others take the f above
-    bounds = {"bulyan": (n - 2) // 4, "dnc": (n - 1) // 4}
+    # bulyan and dnc draw f within their own bounds; the others take the f
+    # above, within multi_krum's bound, the tightest of theirs
     for kind in KINDS:
-        f_kind = int(rng.integers(0, bounds[kind] + 1)) if kind in bounds else f
-        cfg = GasConfig(p=p, base=AggregatorSpec(kind), selection=KnownF(f_kind),
+        base = AggregatorSpec(kind)
+        f_kind = int(rng.integers(0, max_f(base, n) + 1)) if kind in ("bulyan", "dnc") else f
+        cfg = GasConfig(p=p, base=base, selection=KnownF(f_kind),
                         seed=case_seed.child("gas_groups"))
         agg, table, sel, part = gas_aggregate(cfg, x, round=rnd)
         round_seed = cfg.seed.child("round", rnd)

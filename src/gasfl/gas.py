@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate
+from .aggregators import AggregatorSpec, _check_f, aggregate
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
 
 # Bytes of client rows gathered per block of groups: the scoring holds about
@@ -115,12 +115,8 @@ def select_clients(totals: np.ndarray, keep_count: int) -> SelectionResult:
 
 def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
     """(keep_count, byzantine count handed to the base rule) for n clients."""
-    if isinstance(selection, KnownF):
-        if 2 * selection.f >= n:
-            raise ValueError(f"Byzantine count must satisfy f < n/2, got n={n}, f={selection.f}")
-        return n - selection.f, selection.f
-    removed = int(np.ceil(selection.delta * n))
-    return n - removed, removed
+    f = selection.f if isinstance(selection, KnownF) else int(np.ceil(selection.delta * n))
+    return n - f, f
 
 
 def _group_blocks(partition: IndexPartition, n: int):
@@ -163,8 +159,7 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     if n < 2:
         raise ValueError(f"need at least 2 clients, got n={n}")
     keep_count, base_f = _resolve_counts(config.selection, n)
-    if keep_count < 1:
-        raise ValueError(f"selection keeps {keep_count} of {n} clients; nothing to average")
+    _check_f(config.base, n, base_f)  # every bound in the table keeps keep_count >= 1
 
     if config.partition_policy == "per_round":
         part_seed = config.seed.child("partition", round)

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import gas as gas_mod
-from .aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap
+from .aggregators import AggregatorSpec, _check_f, aggregate_with_selection, bucketing_wrap, max_f
 from .attacks import AttackContext, AttackSpec, craft
 from .core import SeedSpec, check_server_ingress
 from .data import ClientShards, SyntheticDataset, dirichlet_partition, generate_synthetic
@@ -155,7 +155,8 @@ class ExperimentConfig:
         return max(1, int(round(self.client_sample_ratio * self.n_clients)))
 
     def __post_init__(self):
-        if not 0 <= self.n_byzantine < self.n_clients / 2:
+        # a Byzantine minority: the loosest row of the aggregators.max_f table
+        if not 0 <= self.n_byzantine <= max_f(AggregatorSpec("mean"), self.n_clients):
             raise ValueError(f"n_byzantine must satisfy 0 <= f < n/2, "
                              f"got n={self.n_clients}, f={self.n_byzantine}")
         if self.rounds < 1:
@@ -173,6 +174,19 @@ class ExperimentConfig:
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
             raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
+        if self.sample_size == self.n_clients:  # every round then hands the defense all clients
+            # the field that sets the count the base rule gets, that count, and the bucket size
+            field, f, s = "n_byzantine", self.n_byzantine, None
+            if isinstance(self.defense, BucketedDefense):
+                field, s = "defense.s", self.defense.s
+            elif isinstance(self.defense, GasDefense) and self.defense.selection_mode == "ratio":
+                field = "defense.delta"
+                f = gas_mod._resolve_counts(gas_mod.Ratio(self.defense.delta), self.n_clients)[1]
+            try:
+                _check_f(self.defense.base, self.n_clients, f, s)
+            except ValueError as exc:
+                raise ValueError(f"{field} is out of the defense's range with every client "
+                                 f"sampled: {exc}") from None
 
 
 @dataclass(frozen=True)

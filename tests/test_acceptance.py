@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gasfl.aggregators import AggregatorSpec, coordinate_median, estimate_resilience
+from gasfl.aggregators import AggregatorSpec, coordinate_median, estimate_resilience, max_f
 from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.checks import run_suite
 from gasfl.cli import main
@@ -83,7 +83,8 @@ def test_A3_gas_reductions():
         agg, _, _, _ = gas_aggregate(cfg0, x)
         worst_mean = max(worst_mean, float(np.abs(agg - x.mean(axis=0)).max()))
         cfg1 = GasConfig(p=1, base=AggregatorSpec("median"),
-                         selection=KnownF(int(rng.integers(0, (n - 1) // 2 + 1))), seed=seed)
+                         selection=KnownF(int(rng.integers(0, max_f(AggregatorSpec("median"), n) + 1))),
+                         seed=seed)
         _, table, _, _ = gas_aggregate(cfg1, x)
         direct = np.linalg.norm(x - coordinate_median(x), axis=1)
         worst_p1 = max(worst_p1, float(np.abs(table.totals - direct).max()))

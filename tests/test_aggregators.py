@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from gasfl import reference as ref
 from gasfl.aggregators import (AggregatorSpec, _krum_scores, aggregate, aggregate_with_selection,
                                bucketing_wrap, bulyan, bulyan_selection, coordinate_median,
                                coordinate_trimmed_mean, dnc, dnc_survivors, estimate_resilience,
-                               geometric_median, multi_krum, multi_krum_selection)
+                               geometric_median, max_f, multi_krum, multi_krum_selection)
 from gasfl.core import SeedSpec, pairwise_sq_dists
 
 
@@ -35,6 +37,62 @@ def test_bulyan_constraint_error():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown aggregator kind"):
         AggregatorSpec("krum_xl")
+
+
+# the bound table ----------------------------------------------------------
+
+# each public function that takes f: its rule, the call, and which part of
+# aggregate_with_selection it returns (0 the aggregate, 1 the kept clients)
+PUBLIC_RULES = {
+    "coordinate_trimmed_mean": (AggregatorSpec("trimmed_mean"), coordinate_trimmed_mean, 0),
+    "multi_krum": (AggregatorSpec("multi_krum"), multi_krum, 0),
+    "multi_krum_selection": (AggregatorSpec("multi_krum"), multi_krum_selection, 1),
+    "bulyan": (AggregatorSpec("bulyan"), bulyan, 0),
+    "bulyan_selection": (AggregatorSpec("bulyan"), bulyan_selection, 1),
+    "dnc": (AggregatorSpec("dnc"), lambda x, f: dnc(x, f, seed=SeedSpec(4)), 0),
+    "dnc_survivors": (AggregatorSpec("dnc", c=2.0, niters=2, b=2),
+                      lambda x, f: dnc_survivors(x, f, c=2.0, niters=2, b=2, seed=SeedSpec(4)), 1),
+    **{f"aggregate_{kind}": (AggregatorSpec(kind),
+                             lambda x, f, kind=kind: aggregate(AggregatorSpec(kind), x, f), 0)
+       for kind in ("mean", "median", "geometric_median")},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 17])
+@pytest.mark.parametrize("name", sorted(PUBLIC_RULES))
+def test_public_rule_functions_accept_exactly_max_f(name, n):
+    spec, call, part = PUBLIC_RULES[name]
+    x = _rand(26, n, 3)
+    top = max_f(spec, n)
+    if top >= 0:
+        expected = aggregate_with_selection(spec, x, top, seed=SeedSpec(4))[part]
+        assert np.array_equal(call(x, top), expected)
+    for f in (-1, top + 1):
+        with pytest.raises(ValueError, match="requires"):
+            call(x, f)
+
+
+@pytest.mark.parametrize("c, niters", [(0.1, 1), (0.3, 1), (1 / 3, 2), (1.0, 3), (2.5, 2), (4.0, 1),
+                                      (4.0, 2), (7.0, 1), (1e300, 1), (5e-324, 1)])
+def test_dnc_max_f_matches_brute_force(c, niters):
+    spec = AggregatorSpec("dnc", c=c, niters=niters, b=2)
+    for n in range(1, 41):
+        allowed = [f for f in range(n) if 2 * f < n and niters * math.floor(c * f) < n]
+        top = max_f(spec, n)
+        assert top == max(allowed, default=-1), n
+        kept = dnc_survivors(_rand(n, n, 4), top, c=c, niters=niters, b=2, seed=SeedSpec(n))
+        assert len(kept) >= 1
+
+
+def test_dnc_bound_counts_every_filtering_round():
+    # two rounds removing floor(4 * 1) = 4 of 5 clients each can remove all
+    # five, whatever the points; the bound rejects f = 1 before any work
+    spec = AggregatorSpec("dnc", b=2, niters=2)
+    assert max_f(spec, 5) == 0
+    rng = np.random.default_rng(27)
+    for i in range(50):
+        with pytest.raises(ValueError, match="n > floor"):
+            aggregate(spec, rng.standard_normal((5, 5)), 1, seed=SeedSpec(i))
 
 
 # median ------------------------------------------------------------------
@@ -302,7 +360,7 @@ def test_oracle_equivalence_thousand_instances():
         n = int(rng.integers(6, 12))
         d = int(rng.integers(1, 6))
         x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
-        f = int(rng.integers(0, (n - 2) // 4 + 1))
+        f = int(rng.integers(0, max_f(AggregatorSpec("bulyan"), n) + 1))
         assert np.abs(coordinate_median(x) - ref.median_reference(x)).max() <= 1e-12
         assert np.abs(coordinate_trimmed_mean(x, f) - ref.trimmed_mean_reference(x, f)).max() <= 1e-12
         assert np.abs(_krum_scores(pairwise_sq_dists(x), f)

@@ -82,11 +82,23 @@ def test_run_missing_config_exits_2(tmp_path):
     ("data.r_sep", -5.0, "data.r_sep: r_sep "),
     ("model.init_scale", -1.0, "model.init_scale: init_scale "),
     ("defense.p", 28, "defense.p must be <= the model dimension 27"),
+    ("defense.base.c", -1.0, "defense.base.c: c "),
+    ("defense.base.niters", 0, "defense.base.niters: niters "),
+    # with every client sampled, round 0 would exceed the defense's bound
+    ("experiment.n_byzantine", 2, "experiment.n_byzantine: n_byzantine is out of"),
+    ("defense.delta", 0.3, "defense.delta: defense.delta is out of"),
+    ("defense.s", 3, "defense.s: defense.s is out of"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))
     if path == "defense.s":
         payload["defense"] = {"kind": "bucketing", "base": {"kind": "median"}, "s": 2}
+    elif path in ("defense.base.c", "defense.base.niters"):
+        payload["defense"] = {"kind": "plain", "base": {"kind": "dnc"}}
+    elif path == "experiment.n_byzantine":
+        payload["defense"] = {"kind": "plain", "base": {"kind": "bulyan"}}
+    elif (path, value) == ("defense.delta", 0.3):
+        payload["defense"].update(base={"kind": "bulyan"}, selection_mode="ratio")
     *sections, key = path.split(".")
     target = payload
     for section in sections:
@@ -100,9 +112,11 @@ def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
 
 
 def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
+    # 6 of 9 clients sampled, so the parse-time bound check is skipped, and
+    # every round samples a Byzantine client: 2 buckets tolerate none
     cfg = _write_config(tmp_path, {
         "experiment.n_clients": 9, "experiment.n_byzantine": 4,
-        "defense.kind": "bucketing", "defense.s": 3})
+        "experiment.client_sample_ratio": 0.67, "defense.kind": "bucketing", "defense.s": 3})
     payload = json.loads(cfg.read_text())
     payload["defense"].pop("p"), payload["defense"].pop("selection_mode")
     payload["defense"].pop("delta"), payload["defense"].pop("partition_policy")
@@ -347,7 +361,7 @@ def test_emit_config_pinned_bytes(payload, expected):
 
 _FLOAT_FIELDS = {"eps", "c", "delta", "z", "gamma_init", "tau", "epsilon", "clip_norm"}
 _DEFENSE_FIELDS = {"plain": {}, "bucketing": {"s": 2},
-                   "gas": {"p": 4, "selection_mode": "ratio", "delta": 0.25, "partition_policy": "fixed"}}
+                   "gas": {"p": 4, "selection_mode": "ratio", "delta": 0.125, "partition_policy": "fixed"}}
 _ROUNDTRIP_CASES = [
     *(pytest.param(("defense",), {"kind": kind, **fields, "base": {
         "kind": base, "iters": 4, "eps": 1, "c": 3, "niters": 2, "b": 7}}, id=f"{kind}-{base}")
@@ -364,6 +378,8 @@ _ROUNDTRIP_CASES = [
 @pytest.mark.parametrize("where, value", _ROUNDTRIP_CASES)
 def test_config_roundtrip_every_kind_and_null(where, value):
     payload = json.loads(json.dumps(SMALL_CONFIG))
+    # 16 clients keep every rule, bucketed or under gas, within its bound
+    payload["experiment"]["n_clients"] = 16
     *sections, key = where
     target = payload
     for section in sections:

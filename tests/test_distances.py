@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gasfl import attacks
 from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, bulyan_selection,
-                               estimate_resilience, multi_krum_selection)
+                               estimate_resilience, max_f, multi_krum_selection)
 from gasfl.core import SeedSpec, pairwise_sq_dists
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
 
@@ -90,7 +90,7 @@ def distinct_points(draw, n_min, n_max):
 def test_multi_krum_selection_translation_and_permutation_invariant(data, f_share):
     x, shift, perm = data
     n = x.shape[0]
-    f = int(f_share * min(n - 3, (n - 1) // 2))
+    f = int(f_share * max_f(AggregatorSpec("multi_krum"), n))
     sel = multi_krum_selection(x, f)
     assert np.array_equal(multi_krum_selection(x + shift, f), sel)
     if n - f - 2 >= 2:
@@ -102,7 +102,7 @@ def test_multi_krum_selection_translation_and_permutation_invariant(data, f_shar
 def test_bulyan_selection_translation_and_permutation_invariant(data, f_share):
     x, shift, perm = data
     n = x.shape[0]
-    f = int(f_share * ((n - 2) // 4))
+    f = int(f_share * max_f(AggregatorSpec("bulyan"), n))
     sel = bulyan_selection(x, f)
     assert np.array_equal(bulyan_selection(x + shift, f), sel)
     # the pool shrinks to 2f + 1 clients, scored over f - 1 peers; with f = 0
@@ -163,16 +163,6 @@ def stacks(draw):
     return stack
 
 
-def _max_f(kind, n):
-    if kind == "bulyan":
-        return (n - 2) // 4
-    if kind == "multi_krum":
-        return min(n - 3, (n - 1) // 2)
-    if kind == "dnc":
-        return (n - 1) // 4
-    return (n - 1) // 2
-
-
 @settings(max_examples=150, deadline=None)
 @given(stack=stacks(), f_share=st.floats(0.0, 1.0))
 def test_stacked_aggregate_matches_each_matrix_alone(stack, f_share):
@@ -182,9 +172,9 @@ def test_stacked_aggregate_matches_each_matrix_alone(stack, f_share):
     specs.append(AggregatorSpec("dnc", b=2, niters=2))
     seed = SeedSpec(9)
     for spec in specs:
-        if _max_f(spec.kind, n) < 0:
+        if max_f(spec, n) < 0:
             continue
-        f = int(f_share * _max_f(spec.kind, n))
+        f = int(f_share * max_f(spec, n))
         stacked = aggregate(spec, stack, f, seed=seed)
         assert stacked.shape == (stack.shape[0], stack.shape[2])
         for g in range(stack.shape[0]):

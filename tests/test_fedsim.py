@@ -362,7 +362,9 @@ def test_bucketed_defense_runs():
 
 
 def test_defense_failure_names_round():
-    cfg = _small_cfg(attack="lie", n=9, f=4, rounds=1,
+    # 6 of 9 clients sampled: the config passes, and round 0 samples a
+    # Byzantine client that 2 buckets cannot tolerate
+    cfg = _small_cfg(attack="lie", n=9, f=4, rounds=1, client_sample_ratio=0.67,
                      defense=BucketedDefense(AggregatorSpec("median"), s=3))
     with pytest.raises(ValueError, match="round 0"):
         run_single(cfg, SeedSpec(33))
