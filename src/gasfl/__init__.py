@@ -6,11 +6,10 @@ trustworthy ones, an omniscient model-poisoning attack suite, and a
 deterministic desk-scale federated simulation harness.
 """
 
-from .aggregators import (AggregatorSpec, ResilienceReport, aggregate, bucketing_wrap,
-                          bulyan, coordinate_median, coordinate_trimmed_mean, dnc,
-                          estimate_resilience, geometric_median, multi_krum)
+from .aggregators import (AggregatorSpec, ResilienceReport, aggregate, aggregate_with_selection,
+                          bucketing_wrap, estimate_resilience)
 from .attacks import AttackContext, AttackSpec, craft
-from .core import IndexPartition, SeedSpec, make_partition, mean
+from .core import IndexPartition, SeedSpec, make_partition
 from .data import (ClientShards, DirichletPartition, SyntheticDataset, SyntheticGradientModel,
                    dirichlet_partition, generate_synthetic)
 from .gas import GasConfig, KnownF, Ratio, ScoreTable, SelectionResult, gas_aggregate

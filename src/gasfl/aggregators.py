@@ -6,18 +6,14 @@ divide-and-conquer spectral filtering (DnC), plus a bucketing wrapper and an
 empirical resilience certifier. Every rule is a pure function of its inputs;
 the seeded rules (DnC, bucketing) take an explicit SeedSpec.
 
-Each rule tolerates its own number of Byzantine clients: `max_f(spec, n)`
-is the largest f it accepts with n clients, and every entry point that takes
-an f (`aggregate`, `aggregate_with_selection`, `bucketing_wrap` and the
-one-matrix functions) checks 0 <= f <= max_f before any work. GAS, the
-config and the oracle read the same table.
-
-`aggregate` takes an (n, k) matrix or a (groups, n, k) stack of them, and
-dispatches on the rule's kind in one place, `_apply`, which always works on
-a stack. Each rule is written once, over the clients axis -2 of a stack, and
-gives every matrix of a stack bit for bit what it gives that matrix alone;
-the one-matrix functions (`coordinate_median`, `bulyan_selection`,
-`dnc_survivors`, ...) are its one-group case.
+Every rule has one way in: `aggregate`, or `aggregate_with_selection`,
+which also reports the clients the rule kept. Both take an (n, k) matrix or
+a (groups, n, k) stack of them, check 0 <= f <= `max_f(spec, n)` once,
+before any work, and dispatch on the rule's kind in one place, `_apply`.
+Each rule's kernel is a private function over the clients axis -2 of a
+stack, and gives every matrix of a stack bit for bit what it gives that
+matrix alone. `bucketing_wrap` checks its inner rule's bound at ceil(n/s)
+buckets; GAS, the config and the oracle read the same `max_f` table.
 
 All selection ties break toward the lower client index, and equal-value
 order statistics break toward the lower value, so outputs are deterministic.
@@ -35,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, mean, pairwise_sq_dists
+from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists
 
 KINDS = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
@@ -135,8 +131,8 @@ def _check_f(spec: AggregatorSpec, n: int, f: int, s: int | None = None) -> None
                      f"got n={n}, f={f}{params}")
 
 
-def coordinate_median(gradients) -> np.ndarray:
-    """Coordinate-wise median, bit-identical to `np.median(x, axis=-2)`.
+def _median(stack: np.ndarray) -> np.ndarray:
+    """Coordinate-wise median of each matrix, bit-identical to `np.median(stack, axis=-2)`.
 
     Even n averages the two middle order statistics.
     One full `np.sort` along the clients axis costs about a fifth of
@@ -146,7 +142,7 @@ def coordinate_median(gradients) -> np.ndarray:
     of tied zeros irrelevant. A column holding a NaN sorts it last and takes
     that NaN, as np.median does.
     """
-    ordered = np.sort(_as_points(gradients), axis=-2)
+    ordered = np.sort(stack, axis=-2)
     n = ordered.shape[-2]
     half = n // 2
     if n % 2:
@@ -162,12 +158,10 @@ def coordinate_median(gradients) -> np.ndarray:
     return med
 
 
-def coordinate_trimmed_mean(gradients, f: int) -> np.ndarray:
+def _trimmed_mean(stack: np.ndarray, f: int) -> np.ndarray:
     """Drop the f largest and f smallest values per coordinate, average the rest."""
-    x = _as_points(gradients)
-    n = x.shape[-2]
-    _check_f(AggregatorSpec("trimmed_mean"), n, f)
-    return np.sort(x, axis=-2)[..., f : n - f, :].mean(axis=-2)
+    n = stack.shape[-2]
+    return np.sort(stack, axis=-2)[..., f : n - f, :].mean(axis=-2)
 
 
 def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
@@ -181,33 +175,23 @@ def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
     return sq[..., : max(0, n - f - 2)].sum(axis=-1)
 
 
-def multi_krum_selection(gradients, f: int) -> np.ndarray:
-    """Indices of the n-f lowest Krum-scoring clients, ties by lower index.
+def _krum_selection(stack: np.ndarray, f: int) -> np.ndarray:
+    """Per matrix, the ascending indices of the n-f lowest Krum scores, ties by lower index.
 
-    An (n, k) matrix gives its n - f indices in ascending order, a
-    (groups, n, k) stack a (groups, n - f) array, row g as matrix g alone.
     At the smallest allowed n = f + 3 each score sums a single peer, so
     mutual nearest neighbours tie exactly and the result depends on
     client order.
     """
-    x = _as_points(gradients)
-    n = x.shape[-2]
-    _check_f(AggregatorSpec("multi_krum"), n, f)
-    scores = _krum_scores(pairwise_sq_dists(x), f)
+    n = stack.shape[-2]
+    scores = _krum_scores(pairwise_sq_dists(stack), f)
     chosen = np.argsort(scores, axis=-1, kind="stable")[..., : n - f]
     return np.sort(chosen, axis=-1)
 
 
-def multi_krum(gradients, f: int) -> np.ndarray:
-    x = as_gradient_matrix(gradients)
-    return x[multi_krum_selection(x, f)].mean(axis=0)
-
-
-def bulyan_selection(gradients, f: int) -> np.ndarray:
+def _bulyan_selection(stack: np.ndarray, f: int) -> np.ndarray:
     """First Bulyan stage: iterated Krum picks, n-2f of them, pool shrinking.
 
-    An (n, k) matrix gives its n - 2f picks in ascending order, a
-    (groups, n, k) stack a (groups, n - 2f) array, row g as matrix g alone.
+    Returns each matrix's n - 2f picks in ascending order, one row each.
     Each distance row is sorted once. A pick then leaves the pool: its row
     goes, and so does its entry in every other row, which keeps each row
     sorted over the clients still in the pool. Every Krum score is so the
@@ -217,10 +201,7 @@ def bulyan_selection(gradients, f: int) -> np.ndarray:
     the last pool holds 2f + 1, so for f in {1, 2} mutual nearest
     neighbours tie exactly and the selection depends on client order.
     """
-    x = _as_points(gradients)
-    stack = x if x.ndim == 3 else x[None]
     groups, n = stack.shape[:2]
-    _check_f(AggregatorSpec("bulyan"), n, f)
     sq = pairwise_sq_dists(stack)
     diag = np.arange(n)
     sq[:, diag, diag] = np.inf
@@ -240,64 +221,46 @@ def bulyan_selection(gradients, f: int) -> np.ndarray:
         dist = dist[stay].reshape(groups, m - 1, m - 1)
         order = order[stay].reshape(groups, m - 1, m - 1)
     chosen.sort(axis=-1)
-    return chosen if x.ndim == 3 else chosen[0]
+    return chosen
 
 
-def bulyan(gradients, f: int) -> np.ndarray:
-    """Iterated-Krum selection followed by a median-centered trimmed average.
+def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
+    """Bulyan's second stage on the rows Krum selected, per matrix.
 
     Per coordinate, the theta - 2f selected values closest to the selected
     set's coordinate median are averaged (theta = n - 2f); distance ties
     prefer the lower value.
     """
-    x = as_gradient_matrix(gradients)
-    return _bulyan_average(x[bulyan_selection(x, f)], f)
-
-
-def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
-    """Bulyan's second stage on the rows Krum selected, per matrix."""
     beta = sel.shape[-2] - 2 * f
-    gaps = np.abs(sel - coordinate_median(sel)[..., None, :])
+    gaps = np.abs(sel - _median(sel)[..., None, :])
     # lexsort: primary key distance-to-median, secondary key the value itself
     order = np.lexsort((sel, gaps), axis=-2)
     nearest = np.take_along_axis(sel, order[..., :beta, :], axis=-2)
     return nearest.mean(axis=-2)
 
 
-def geometric_median(gradients, iters: int = 3, eps: float = 1e-8) -> np.ndarray:
+def _geometric_median(stack: np.ndarray, iters: int, eps: float) -> np.ndarray:
     """Smoothed Weiszfeld iteration, started from the mean.
 
     Point weights are 1 / max(eps, ||z - g_i||); `iters` fixed-point updates
     are applied (no early stopping, for determinism).
     """
-    AggregatorSpec("geometric_median", iters=iters, eps=eps)  # checks iters and eps
-    x = _as_points(gradients)
-    z = x.mean(axis=-2)
+    z = stack.mean(axis=-2)
     for _ in range(iters):
-        w = 1.0 / np.maximum(eps, np.linalg.norm(x - z[..., None, :], axis=-1))
-        z = (w[..., None] * x).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
+        w = 1.0 / np.maximum(eps, np.linalg.norm(stack - z[..., None, :], axis=-1))
+        z = (w[..., None] * stack).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
     return z
 
 
-def dnc_survivors(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 10000,
-                  seed: SeedSpec | None = None) -> np.ndarray:
-    """Indices never marked as outliers by the spectral filtering rounds.
+def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, seed):
+    """Per matrix, the indices never marked as outliers by the spectral filtering rounds.
 
     Each round samples min(b, d) coordinates (keyed by the seed and round
     only, so client order is irrelevant), centers the sub-sampled gradients,
     and marks the floor(c*f) clients with the largest squared projection
-    onto the top right singular direction.
-    """
-    x = as_gradient_matrix(gradients)
-    _check_f(AggregatorSpec("dnc", c=c, niters=niters, b=b), x.shape[0], f)
-    return _dnc_survivors(x[None], f, c, niters, b, seed)[0]
-
-
-def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, seed):
-    """`dnc_survivors` of each matrix of a stack, `seed` as `aggregate` takes it.
-
-    Returns a (groups, m) array, or a list of one array per matrix when the
-    filtering rounds keep unequal counts. f within `max_f` leaves m >= 1.
+    onto the top right singular direction. `seed` is as `aggregate` takes
+    it. Returns a (groups, m) array, or a list of one array per matrix when
+    the filtering rounds keep unequal counts. f within `max_f` leaves m >= 1.
     """
     k = stack.shape[-1]
     n_remove = math.floor(c * f)
@@ -327,17 +290,14 @@ def _dnc_survivors(stack: np.ndarray, f: int, c: float, niters: int, b: int, see
 
 
 def _spectral_scores(centered: np.ndarray, seeds) -> np.ndarray:
-    """Squared projections onto the top right singular direction of `centered`.
+    """Squared projections onto the top right singular direction of each matrix.
 
-    Takes one (n, k) matrix and its SeedSpec, or a (groups, n, k) stack and
-    one SeedSpec per matrix. Power iteration runs on the n x n Gram matrix;
-    the start vector is the image under `centered` of a seeded
-    coordinate-space draw, which keeps the iterates equivariant to client
-    reordering. A matrix whose iterate vanishes has no spectral direction,
-    and all its scores are zero.
+    Takes a (groups, n, k) stack and one SeedSpec per matrix. Power
+    iteration runs on the n x n Gram matrix; the start vector is the image
+    under `centered` of a seeded coordinate-space draw, which keeps the
+    iterates equivariant to client reordering. A matrix whose iterate
+    vanishes has no spectral direction, and all its scores are zero.
     """
-    if centered.ndim == 2:
-        return _spectral_scores(centered[None], [seeds])[0]
     gram = centered @ centered.swapaxes(-1, -2)
     v0 = np.stack([s.generator().standard_normal(centered.shape[-1]) for s in seeds])
     flat = np.zeros(len(seeds), dtype=bool)
@@ -365,12 +325,6 @@ def _unit(u: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return u / norm
 
 
-def dnc(gradients, f: int, c: float = 4.0, niters: int = 1, b: int = 10000,
-        seed: SeedSpec | None = None) -> np.ndarray:
-    x = as_gradient_matrix(gradients)
-    return x[dnc_survivors(x, f, c, niters, b, seed)].mean(axis=0)
-
-
 def _kept_mean(stack: np.ndarray, chosen) -> np.ndarray:
     """Per matrix, the mean of its chosen rows, gathered C-ordered as `x[sel]` is."""
     if isinstance(chosen, list):  # one index array per matrix, of unequal lengths
@@ -379,7 +333,7 @@ def _kept_mean(stack: np.ndarray, chosen) -> np.ndarray:
 
 
 def _apply(spec: AggregatorSpec, stack: np.ndarray, f: int, seed) -> tuple[np.ndarray, object]:
-    """The rule `spec` on each matrix of a (groups, n, k) stack.
+    """The rule `spec` on each matrix of a (groups, n, k) stack, f already checked.
 
     Returns the (groups, k) aggregates and the ascending indices of the
     clients each matrix kept: a (groups, m) array, a list of arrays when DnC
@@ -389,16 +343,16 @@ def _apply(spec: AggregatorSpec, stack: np.ndarray, f: int, seed) -> tuple[np.nd
     if spec.kind == "mean":
         return stack.mean(axis=-2), None
     if spec.kind == "median":
-        return coordinate_median(stack), None
+        return _median(stack), None
     if spec.kind == "trimmed_mean":
-        return coordinate_trimmed_mean(stack, f), None
+        return _trimmed_mean(stack, f), None
     if spec.kind == "geometric_median":
-        return geometric_median(stack, spec.iters, spec.eps), None
+        return _geometric_median(stack, spec.iters, spec.eps), None
     if spec.kind == "bulyan":
-        chosen = bulyan_selection(stack, f)
+        chosen = _bulyan_selection(stack, f)
         return _bulyan_average(stack[np.arange(len(stack))[:, None], chosen], f), chosen
     if spec.kind == "multi_krum":
-        chosen = multi_krum_selection(stack, f)
+        chosen = _krum_selection(stack, f)
     elif spec.kind == "dnc":
         chosen = _dnc_survivors(stack, f, spec.c, spec.niters, spec.b, seed)
     else:
@@ -407,16 +361,23 @@ def _apply(spec: AggregatorSpec, stack: np.ndarray, f: int, seed) -> tuple[np.nd
 
 
 def aggregate_with_selection(spec: AggregatorSpec, gradients, f: int,
-                             seed: SeedSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`aggregate` on an (n, k) matrix; also report which clients the rule kept.
+                             seed: SeedSpec | None = None) -> tuple[np.ndarray, object]:
+    """`aggregate`, and the ascending indices of the clients the rule kept.
 
-    Rules without an explicit selection step (mean, median, trimmed_mean,
-    geometric_median) report every client as selected.
+    An (n, k) matrix gives one index array. A stack gives a (groups, m)
+    array whose row g is what matrix g gives alone, or a list of one array
+    per matrix when DnC filtering over several rounds keeps unequal counts.
+    Rules without a selection step (mean, median, trimmed_mean,
+    geometric_median) report every client as kept.
     """
-    x = as_gradient_matrix(gradients)
-    _check_f(spec, x.shape[0], f)
-    centers, chosen = _apply(spec, x[None], f, seed)
-    return centers[0], np.arange(x.shape[0]) if chosen is None else chosen[0]
+    x = _as_points(gradients)
+    n = x.shape[-2]
+    _check_f(spec, n, f)
+    if x.ndim == 2:
+        centers, chosen = _apply(spec, x[None], f, seed)
+        return centers[0], np.arange(n) if chosen is None else chosen[0]
+    centers, chosen = _apply(spec, x, f, seed)
+    return centers, np.tile(np.arange(n), (len(x), 1)) if chosen is None else chosen
 
 
 def aggregate(spec: AggregatorSpec, gradients, f: int, seed=None) -> np.ndarray:
@@ -487,8 +448,5 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
 
 __all__ = [
     "AggregatorSpec", "ResilienceReport", "KINDS",
-    "aggregate", "aggregate_with_selection", "bucketing_wrap",
-    "coordinate_median", "coordinate_trimmed_mean", "multi_krum", "multi_krum_selection",
-    "bulyan", "bulyan_selection", "geometric_median", "dnc", "dnc_survivors",
-    "estimate_resilience", "max_f", "mean",
+    "aggregate", "aggregate_with_selection", "bucketing_wrap", "estimate_resilience", "max_f",
 ]

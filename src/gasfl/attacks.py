@@ -153,11 +153,6 @@ def ipm(honest, epsilon: float = 0.5) -> np.ndarray:
     return -epsilon * x.mean(axis=0)
 
 
-def bit_flip(byz_true: np.ndarray) -> np.ndarray:
-    """Each Byzantine client negates its own honestly computed gradient."""
-    return -as_gradient_matrix(byz_true)
-
-
 def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) -> np.ndarray:
     """The f Byzantine uploads for this round, as an (f, d) matrix.
 
@@ -199,4 +194,4 @@ def _require_honest(honest, minimum: int, name: str) -> np.ndarray:
     return x
 
 
-__all__ = ["AttackSpec", "AttackContext", "KINDS", "craft", "lie", "min_max", "min_sum", "ipm", "bit_flip"]
+__all__ = ["AttackSpec", "AttackContext", "KINDS", "craft", "lie", "min_max", "min_sum", "ipm"]

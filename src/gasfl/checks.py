@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference as ref
-from .aggregators import (KINDS, AggregatorSpec, bulyan, bulyan_selection, coordinate_median,
-                          coordinate_trimmed_mean, geometric_median, max_f, multi_krum,
-                          _krum_scores, _spectral_scores)
+from .aggregators import (KINDS, AggregatorSpec, _krum_scores, _spectral_scores, aggregate,
+                          aggregate_with_selection, max_f)
 from .core import SeedSpec, pairwise_sq_dists
 from .gas import GasConfig, KnownF, gas_aggregate, group_scores
 
@@ -68,30 +67,33 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
     rng = case_seed.generator()
     if suite == "median":
         x, _ = _random_instance(rng)
-        return float(np.abs(coordinate_median(x) - ref.median_reference(x)).max())
+        return float(np.abs(aggregate(AggregatorSpec("median"), x, 0) - ref.median_reference(x)).max())
 
     if suite == "trimmed_mean":
         x, n = _random_instance(rng, n_min=3)
-        f = int(rng.integers(0, max_f(AggregatorSpec("trimmed_mean"), n) + 1))
-        return float(np.abs(coordinate_trimmed_mean(x, f) - ref.trimmed_mean_reference(x, f)).max())
+        spec = AggregatorSpec("trimmed_mean")
+        f = int(rng.integers(0, max_f(spec, n) + 1))
+        return float(np.abs(aggregate(spec, x, f) - ref.trimmed_mean_reference(x, f)).max())
 
     if suite == "krum":
         x, n = _random_instance(rng, n_min=4)
-        f = int(rng.integers(0, max_f(AggregatorSpec("multi_krum"), n) + 1))
+        spec = AggregatorSpec("multi_krum")
+        f = int(rng.integers(0, max_f(spec, n) + 1))
         gap = float(np.abs(_krum_scores(pairwise_sq_dists(x), f) - ref.krum_scores_reference(x, f)).max())
-        return max(gap, float(np.abs(multi_krum(x, f) - ref.multi_krum_reference(x, f)).max()))
+        return max(gap, float(np.abs(aggregate(spec, x, f) - ref.multi_krum_reference(x, f)).max()))
 
     if suite == "bulyan":
         n = int(rng.integers(6, 12))
-        f = int(rng.integers(0, max_f(AggregatorSpec("bulyan"), n) + 1))
+        spec = AggregatorSpec("bulyan")
+        f = int(rng.integers(0, max_f(spec, n) + 1))
         x = rng.standard_normal((n, int(rng.integers(1, 6))))
-        sel_gap = 0.0 if np.array_equal(bulyan_selection(x, f),
-                                        np.asarray(ref.bulyan_selection_reference(x, f))) else 1.0
-        return max(sel_gap, float(np.abs(bulyan(x, f) - ref.bulyan_reference(x, f)).max()))
+        out, sel = aggregate_with_selection(spec, x, f)
+        sel_gap = 0.0 if np.array_equal(sel, np.asarray(ref.bulyan_selection_reference(x, f))) else 1.0
+        return max(sel_gap, float(np.abs(out - ref.bulyan_reference(x, f)).max()))
 
     if suite == "weiszfeld":
         x, _ = _random_instance(rng, n_min=2)
-        out = geometric_median(x, iters=8)
+        out = aggregate(AggregatorSpec("geometric_median", iters=8), x, 0)
         slack = ref.geometric_median_objective(out, x) - ref.geometric_median_objective(x.mean(axis=0), x)
         return max(0.0, float(slack))
 
@@ -105,7 +107,7 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
         x[0] += 20.0 * spike / max(np.linalg.norm(spike), 1e-300)
         centered = x - x.mean(axis=0)
         v_ref = ref.top_direction_reference(centered)
-        scores = _spectral_scores(centered, case_seed.child("power"))
+        scores = _spectral_scores(centered[None], [case_seed.child("power")])[0]
         ref_scores = (centered @ v_ref) ** 2
         denom = max(float(ref_scores.max()), 1e-12)
         return float(np.abs(scores - ref_scores).max()) / denom
@@ -117,7 +119,7 @@ def _run_case(suite: str, case_seed: SeedSpec) -> float:
         base = AggregatorSpec("median")
         cfg1 = GasConfig(p=1, base=base, selection=KnownF(0), seed=case_seed.child("gas1"))
         _, table, _, _ = gas_aggregate(cfg1, x)
-        direct = np.linalg.norm(x - coordinate_median(x), axis=1)
+        direct = np.linalg.norm(x - aggregate(base, x, 0), axis=1)
         gap = float(np.abs(table.totals - direct).max())
         cfg2 = GasConfig(p=min(3, d), base=base, selection=KnownF(0), seed=case_seed.child("gas2"))
         agg, _, _, _ = gas_aggregate(cfg2, x)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass
 from functools import cache
@@ -96,6 +97,8 @@ def _scalar(section: dict, name: str, tp, path: str, required: bool):
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # JSON's NaN passes every `<= 0` bound
+        raise ConfigError(path, f"must be finite, got {value}")
     return value
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -233,8 +232,3 @@ def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
     order = np.sort(order + shift) - shift
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     return IndexPartition(order=order, offsets=offsets, d=d, p=p)
-
-
-def mean(gradients: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of a nonempty list of gradients."""
-    return as_gradient_matrix(gradients).mean(axis=0)

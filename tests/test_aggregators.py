@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gasfl import reference as ref
-from gasfl.aggregators import (AggregatorSpec, _krum_scores, aggregate, aggregate_with_selection,
-                               bucketing_wrap, bulyan, bulyan_selection, coordinate_median,
-                               coordinate_trimmed_mean, dnc, dnc_survivors, estimate_resilience,
-                               geometric_median, max_f, multi_krum, multi_krum_selection)
+from gasfl.aggregators import (AggregatorSpec, _krum_scores, _spectral_scores, aggregate,
+                               aggregate_with_selection, bucketing_wrap, estimate_resilience, max_f)
 from gasfl.core import SeedSpec, pairwise_sq_dists
+
+MEDIAN = AggregatorSpec("median")
+TRIMMED_MEAN = AggregatorSpec("trimmed_mean")
+MULTI_KRUM = AggregatorSpec("multi_krum")
+BULYAN = AggregatorSpec("bulyan")
+DNC = AggregatorSpec("dnc")
 
 
 def _rand(seed, n, d, scale=2.0):
     return np.random.default_rng(seed).standard_normal((n, d)) * scale
+
+
+def _gm(iters=3):
+    return AggregatorSpec("geometric_median", iters=iters)
 
 
 # dispatch ---------------------------------------------------------------
@@ -41,35 +50,33 @@ def test_unknown_kind_rejected():
 
 # the bound table ----------------------------------------------------------
 
-# each public function that takes f: its rule, the call, and which part of
-# aggregate_with_selection it returns (0 the aggregate, 1 the kept clients)
+# every rule, through both entry points; a rule without a selection step
+# reports every client as kept, so it is named by its aggregate alone
 PUBLIC_RULES = {
-    "coordinate_trimmed_mean": (AggregatorSpec("trimmed_mean"), coordinate_trimmed_mean, 0),
-    "multi_krum": (AggregatorSpec("multi_krum"), multi_krum, 0),
-    "multi_krum_selection": (AggregatorSpec("multi_krum"), multi_krum_selection, 1),
-    "bulyan": (AggregatorSpec("bulyan"), bulyan, 0),
-    "bulyan_selection": (AggregatorSpec("bulyan"), bulyan_selection, 1),
-    "dnc": (AggregatorSpec("dnc"), lambda x, f: dnc(x, f, seed=SeedSpec(4)), 0),
-    "dnc_survivors": (AggregatorSpec("dnc", c=2.0, niters=2, b=2),
-                      lambda x, f: dnc_survivors(x, f, c=2.0, niters=2, b=2, seed=SeedSpec(4)), 1),
-    **{f"aggregate_{kind}": (AggregatorSpec(kind),
-                             lambda x, f, kind=kind: aggregate(AggregatorSpec(kind), x, f), 0)
-       for kind in ("mean", "median", "geometric_median")},
+    **{f"aggregate_{kind}": AggregatorSpec(kind)
+       for kind in ("mean", "median", "trimmed_mean", "geometric_median")},
+    "multi_krum": MULTI_KRUM,
+    "bulyan": BULYAN,
+    "dnc": DNC,
+    # DnC drawing a coordinate sample, over two filtering rounds
+    "dnc_sampled": AggregatorSpec("dnc", c=2.0, niters=2, b=2),
 }
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 17])
 @pytest.mark.parametrize("name", sorted(PUBLIC_RULES))
 def test_public_rule_functions_accept_exactly_max_f(name, n):
-    spec, call, part = PUBLIC_RULES[name]
+    spec = PUBLIC_RULES[name]
     x = _rand(26, n, 3)
     top = max_f(spec, n)
     if top >= 0:
-        expected = aggregate_with_selection(spec, x, top, seed=SeedSpec(4))[part]
-        assert np.array_equal(call(x, top), expected)
+        expected, kept = aggregate_with_selection(spec, x, top, seed=SeedSpec(4))
+        assert np.array_equal(aggregate(spec, x, top, seed=SeedSpec(4)), expected)
+        assert len(kept) >= 1
     for f in (-1, top + 1):
-        with pytest.raises(ValueError, match="requires"):
-            call(x, f)
+        for entry in (aggregate, aggregate_with_selection):
+            with pytest.raises(ValueError, match="requires"):
+                entry(spec, x, f)
 
 
 @pytest.mark.parametrize("c, niters", [(0.1, 1), (0.3, 1), (1 / 3, 2), (1.0, 3), (2.5, 2), (4.0, 1),
@@ -80,7 +87,7 @@ def test_dnc_max_f_matches_brute_force(c, niters):
         allowed = [f for f in range(n) if 2 * f < n and niters * math.floor(c * f) < n]
         top = max_f(spec, n)
         assert top == max(allowed, default=-1), n
-        kept = dnc_survivors(_rand(n, n, 4), top, c=c, niters=niters, b=2, seed=SeedSpec(n))
+        _, kept = aggregate_with_selection(spec, _rand(n, n, 4), top, seed=SeedSpec(n))
         assert len(kept) >= 1
 
 
@@ -98,14 +105,14 @@ def test_dnc_bound_counts_every_filtering_round():
 # median ------------------------------------------------------------------
 
 def test_median_examples():
-    assert np.array_equal(coordinate_median([[1.0], [2.0], [9.0]]), [2.0])
-    assert np.array_equal(coordinate_median([[1.0, 0.0], [2.0, 1.0], [3.0, 5.0], [4.0, 6.0]]),
+    assert np.array_equal(aggregate(MEDIAN, [[1.0], [2.0], [9.0]], 0), [2.0])
+    assert np.array_equal(aggregate(MEDIAN, [[1.0, 0.0], [2.0, 1.0], [3.0, 5.0], [4.0, 6.0]], 0),
                           [2.5, 3.0])
 
 
 def test_median_matches_sort_oracle():
     x = _rand(3, 7, 3)
-    assert np.abs(coordinate_median(x) - ref.median_reference(x)).max() <= 1e-12
+    assert np.abs(aggregate(MEDIAN, x, 0) - ref.median_reference(x)).max() <= 1e-12
 
 
 @st.composite
@@ -129,7 +136,7 @@ def median_inputs(draw):
 @given(x=median_inputs())
 def test_median_bit_identical_to_np_median(x):
     with np.errstate(invalid="ignore"):  # inf and -inf as the middle pair average to NaN
-        fast, slow = coordinate_median(x), np.median(x, axis=0)
+        fast, slow = aggregate(MEDIAN, x, 0), np.median(x, axis=0)
     assert np.array_equal(fast, slow, equal_nan=True)
     assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
@@ -137,86 +144,90 @@ def test_median_bit_identical_to_np_median(x):
 # trimmed mean ------------------------------------------------------------
 
 def test_trimmed_mean_examples():
-    assert np.array_equal(coordinate_trimmed_mean([[0.0], [1.0], [2.0], [3.0], [100.0]], 1), [2.0])
+    assert np.array_equal(aggregate(TRIMMED_MEAN, [[0.0], [1.0], [2.0], [3.0], [100.0]], 1), [2.0])
     x = _rand(4, 6, 2)
-    assert np.allclose(coordinate_trimmed_mean(x, 0), x.mean(axis=0))
+    assert np.allclose(aggregate(TRIMMED_MEAN, x, 0), x.mean(axis=0))
+    # the mean of the three kept 0.1 rounds one ulp above every honest value
+    assert np.array_equal(aggregate(TRIMMED_MEAN, [[0.1]] * 4 + [[9e9]], 1), [0.10000000000000002])
 
 
 def test_trimmed_mean_constraint():
     with pytest.raises(ValueError, match="n > 2f"):
-        coordinate_trimmed_mean(_rand(0, 4, 2), 2)
+        aggregate(TRIMMED_MEAN, _rand(0, 4, 2), 2)
 
 
 def test_trimmed_mean_matches_sort_oracle():
     x = _rand(5, 9, 4)
-    assert np.abs(coordinate_trimmed_mean(x, 2) - ref.trimmed_mean_reference(x, 2)).max() <= 1e-12
+    assert np.abs(aggregate(TRIMMED_MEAN, x, 2) - ref.trimmed_mean_reference(x, 2)).max() <= 1e-12
 
 
 # multi-krum --------------------------------------------------------------
 
 def test_multi_krum_outlier_dominance():
     x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [100.0, 100.0]])
-    assert np.array_equal(multi_krum(x, 1), [1.0, 1.0])
-    assert np.array_equal(multi_krum_selection(x, 1), [0, 1, 2])
+    out, sel = aggregate_with_selection(MULTI_KRUM, x, 1)
+    assert np.array_equal(out, [1.0, 1.0])
+    assert np.array_equal(sel, [0, 1, 2])
 
 
 def test_multi_krum_identical_inputs():
     x = np.tile([2.0, -1.0], (5, 1))
-    assert np.array_equal(multi_krum(x, 1), [2.0, -1.0])
+    assert np.array_equal(aggregate(MULTI_KRUM, x, 1), [2.0, -1.0])
 
 
 def test_multi_krum_constraint():
     with pytest.raises(ValueError, match="f\\+3"):
-        multi_krum(_rand(0, 4, 2), 2)
+        aggregate(MULTI_KRUM, _rand(0, 4, 2), 2)
 
 
 def test_multi_krum_matches_brute_force():
     x = _rand(6, 6, 3)
     assert np.abs(_krum_scores(pairwise_sq_dists(x), 1)
                   - ref.krum_scores_reference(x, 1)).max() <= 1e-12
-    assert np.abs(multi_krum(x, 1) - ref.multi_krum_reference(x, 1)).max() <= 1e-12
+    assert np.abs(aggregate(MULTI_KRUM, x, 1) - ref.multi_krum_reference(x, 1)).max() <= 1e-12
 
 
 # bulyan ------------------------------------------------------------------
 
 def test_bulyan_identical_inputs():
     x = np.tile([3.0], (7, 1))
-    assert np.array_equal(bulyan(x, 1), [3.0])
+    assert np.array_equal(aggregate(BULYAN, x, 1), [3.0])
 
 
 def test_bulyan_single_outlier():
     x = np.array([[0.0]] * 6 + [[100.0]])
-    assert np.array_equal(bulyan(x, 1), [0.0])
+    assert np.array_equal(aggregate(BULYAN, x, 1), [0.0])
 
 
 def test_bulyan_matches_straight_line_oracle():
     x = _rand(8, 11, 2)
-    assert np.array_equal(bulyan_selection(x, 2), ref.bulyan_selection_reference(x, 2))
-    assert np.abs(bulyan(x, 2) - ref.bulyan_reference(x, 2)).max() <= 1e-12
+    out, sel = aggregate_with_selection(BULYAN, x, 2)
+    assert np.array_equal(sel, ref.bulyan_selection_reference(x, 2))
+    assert np.abs(out - ref.bulyan_reference(x, 2)).max() <= 1e-12
 
 
 def test_bulyan_dispatch_selects_once(monkeypatch):
     import gasfl.aggregators as agg_mod
     calls = []
-    real = agg_mod.bulyan_selection
+    real = agg_mod._bulyan_selection
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(agg_mod, "bulyan_selection", counted)
+    monkeypatch.setattr(agg_mod, "_bulyan_selection", counted)
     x = _rand(10, 11, 4)
-    out, sel = aggregate_with_selection(AggregatorSpec("bulyan"), x, 2)
+    out, sel = aggregate_with_selection(BULYAN, x, 2)
     assert len(calls) == 1
     assert np.array_equal(sel, ref.bulyan_selection_reference(x, 2))
     assert np.abs(out - ref.bulyan_reference(x, 2)).max() <= 1e-12
-    assert np.array_equal(out, bulyan(x, 2))
+    assert np.array_equal(out, aggregate(BULYAN, x, 2))
 
 
 def test_bulyan_output_within_selected_range():
     x = _rand(9, 11, 3)
-    sel = x[bulyan_selection(x, 2)]
-    out = bulyan(x, 2)
+    out, kept = aggregate_with_selection(BULYAN, x, 2)
+    sel = x[kept]
     assert np.all(out >= sel.min(axis=0) - 1e-12) and np.all(out <= sel.max(axis=0) + 1e-12)
 
 
@@ -224,17 +235,17 @@ def test_bulyan_output_within_selected_range():
 
 def test_geometric_median_identical_points():
     x = np.tile([1.5, -2.0], (4, 1))
-    assert np.allclose(geometric_median(x), [1.5, -2.0])
+    assert np.allclose(aggregate(_gm(), x, 0), [1.5, -2.0])
 
 
 def test_geometric_median_square_symmetry():
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert np.abs(geometric_median(x, iters=100)).max() <= 1e-9
+    assert np.abs(aggregate(_gm(100), x, 0)).max() <= 1e-9
 
 
 def test_geometric_median_1d_converges_to_median():
     x = np.array([[0.0], [1.0], [10.0]])
-    out = geometric_median(x, iters=200)
+    out = aggregate(_gm(200), x, 0)
     assert abs(out[0] - 1.0) < 0.05
     assert (ref.geometric_median_objective(out, x)
             <= ref.geometric_median_objective(x.mean(axis=0), x) + 1e-9)
@@ -242,7 +253,7 @@ def test_geometric_median_1d_converges_to_median():
 
 def test_geometric_median_objective_nonincreasing():
     x = _rand(11, 8, 3)
-    objs = [ref.geometric_median_objective(geometric_median(x, iters=t), x) for t in range(1, 8)]
+    objs = [ref.geometric_median_objective(aggregate(_gm(t), x, 0), x) for t in range(1, 8)]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
@@ -250,27 +261,25 @@ def test_geometric_median_objective_nonincreasing():
 
 def test_dnc_f_zero_is_mean():
     x = _rand(12, 6, 4)
-    assert np.allclose(dnc(x, 0, seed=SeedSpec(1)), x.mean(axis=0))
+    assert np.allclose(aggregate(DNC, x, 0, seed=SeedSpec(1)), x.mean(axis=0))
 
 
 def test_dnc_removes_rank_one_outliers():
     # exact copies: the planted cluster carries all the spectral mass
     d = 12
     x = np.vstack([np.zeros((8, d)), np.full((2, d), 10.0)])
-    out = dnc(x, 2, seed=SeedSpec(5))
+    out, survivors = aggregate_with_selection(DNC, x, 2, seed=SeedSpec(5))
     assert np.array_equal(out, np.zeros(d))
-    survivors = dnc_survivors(x, 2, seed=SeedSpec(5))
     assert set(survivors).issubset(set(range(8)))
 
 
 def test_dnc_power_iteration_matches_dense_eig():
-    from gasfl.aggregators import _spectral_scores
     rng = np.random.default_rng(13)
     for k in range(20):
         x = rng.standard_normal((8, 5))
         x[0] += 9.0
         centered = x - x.mean(axis=0)
-        scores = _spectral_scores(centered, SeedSpec(100 + k))
+        scores = _spectral_scores(centered[None], [SeedSpec(100 + k)])[0]
         exact = (centered @ ref.top_direction_reference(centered)) ** 2
         assert np.abs(scores - exact).max() / exact.max() <= 1e-6
 
@@ -278,7 +287,7 @@ def test_dnc_power_iteration_matches_dense_eig():
 def test_dnc_all_marked_is_error():
     x = _rand(14, 5, 3)
     with pytest.raises(ValueError, match="n > floor"):
-        dnc(x, 2, c=4.0, seed=SeedSpec(0))  # floor(cf)=8 >= n=5
+        aggregate(AggregatorSpec("dnc", c=4.0), x, 2, seed=SeedSpec(0))  # floor(cf)=8 >= n=5
 
 
 # bucketing -----------------------------------------------------------------
@@ -302,7 +311,7 @@ def test_bucketing_matches_permute_chunk_oracle():
     out = bucketing_wrap(AggregatorSpec("median"), x, 2, 2, seed)
     perm = seed.child("bucketing").generator().permutation(9)
     means = ref.bucketed_means_reference(x, 2, perm)
-    assert np.allclose(out, coordinate_median(means), atol=1e-12)
+    assert np.allclose(out, aggregate(MEDIAN, means, 0), atol=1e-12)
 
 
 def test_bucketing_too_few_buckets():
@@ -341,6 +350,36 @@ def test_coordinate_boundedness(kind):
     assert np.all(out >= x.min(axis=0)) and np.all(out <= x.max(axis=0))
 
 
+@st.composite
+def poisoned(draw):
+    """A coordinate rule, f within its bound, and n - f honest rows mixed with f
+    arbitrary finite ones."""
+    kind = draw(st.sampled_from(["median", "trimmed_mean"]), label="kind")
+    n = draw(st.integers(1, 25), label="n")
+    f = draw(st.integers(0, max_f(AggregatorSpec(kind), n)), label="f")
+    d = draw(st.integers(1, 6), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    honest = rng.standard_normal((n - f, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    if draw(st.booleans(), label="ties"):
+        honest = np.round(honest)
+    byz = draw(arrays(np.float64, (f, d), elements=st.floats(allow_nan=False, allow_infinity=False)),
+               label="byz")
+    return kind, f, honest, np.vstack([honest, byz])[rng.permutation(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=poisoned())
+def test_coordinate_rules_stay_in_the_honest_range(case):
+    kind, f, honest, x = case
+    out = aggregate(AggregatorSpec(kind), x, f)
+    lo, hi = honest.min(axis=0), honest.max(axis=0)
+    if kind == "trimmed_mean":
+        # the rounding of one mean of n - 2f values inside [lo, hi]
+        slack = (x.shape[0] - 2 * f) * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        lo, hi = lo - slack, hi + slack
+    assert np.all(out >= lo) and np.all(out <= hi)
+
+
 @pytest.mark.parametrize("kind", ["mean", "median", "trimmed_mean", "multi_krum",
                                   "bulyan", "geometric_median", "dnc"])
 def test_permutation_invariance(kind):
@@ -360,13 +399,14 @@ def test_oracle_equivalence_thousand_instances():
         n = int(rng.integers(6, 12))
         d = int(rng.integers(1, 6))
         x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
-        f = int(rng.integers(0, max_f(AggregatorSpec("bulyan"), n) + 1))
-        assert np.abs(coordinate_median(x) - ref.median_reference(x)).max() <= 1e-12
-        assert np.abs(coordinate_trimmed_mean(x, f) - ref.trimmed_mean_reference(x, f)).max() <= 1e-12
+        f = int(rng.integers(0, max_f(BULYAN, n) + 1))
+        assert np.abs(aggregate(MEDIAN, x, 0) - ref.median_reference(x)).max() <= 1e-12
+        assert np.abs(aggregate(TRIMMED_MEAN, x, f) - ref.trimmed_mean_reference(x, f)).max() <= 1e-12
         assert np.abs(_krum_scores(pairwise_sq_dists(x), f)
                       - ref.krum_scores_reference(x, f)).max() <= 1e-12
-        assert np.array_equal(bulyan_selection(x, f), ref.bulyan_selection_reference(x, f))
-        assert np.abs(bulyan(x, f) - ref.bulyan_reference(x, f)).max() <= 1e-12
+        out, sel = aggregate_with_selection(BULYAN, x, f)
+        assert np.array_equal(sel, ref.bulyan_selection_reference(x, f))
+        assert np.abs(out - ref.bulyan_reference(x, f)).max() <= 1e-12
 
 
 # selection reporting --------------------------------------------------------

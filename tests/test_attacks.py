@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gasfl import attacks
-from gasfl.attacks import AttackContext, AttackSpec, bit_flip, craft, ipm, lie, min_max, min_sum
+from gasfl.attacks import AttackContext, AttackSpec, craft, ipm, lie, min_max, min_sum
 from gasfl.core import SeedSpec, pairwise_sq_dists
 
 
@@ -185,10 +185,6 @@ def test_attack_spec_validation():
         AttackSpec("gradient_inversion")
     with pytest.raises(ValueError, match="positive"):
         AttackSpec("min_max", tau=0.0)
-
-
-def test_bit_flip_helper():
-    assert np.array_equal(bit_flip(np.array([[1.0, -2.0]])), [[-1.0, 2.0]])
 
 
 def test_ipm_single_honest_allowed():

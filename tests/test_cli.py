@@ -88,6 +88,14 @@ def test_run_missing_config_exits_2(tmp_path):
     ("experiment.n_byzantine", 2, "experiment.n_byzantine: n_byzantine is out of"),
     ("defense.delta", 0.3, "defense.delta: defense.delta is out of"),
     ("defense.s", 3, "defense.s: defense.s is out of"),
+    # JSON's NaN and Infinity literals pass every `<= 0` check but are no setting
+    ("defense.base.eps", float("nan"), "defense.base.eps: must be finite"),
+    ("trainer.learning_rate", float("nan"), "trainer.learning_rate: must be finite"),
+    ("trainer.clip_norm", float("nan"), "trainer.clip_norm: must be finite"),
+    ("data.beta", float("nan"), "data.beta: must be finite"),
+    ("attack.tau", float("nan"), "attack.tau: must be finite"),
+    ("attack.gamma_init", float("nan"), "attack.gamma_init: must be finite"),
+    ("trainer.learning_rate", float("inf"), "trainer.learning_rate: must be finite"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasfl import attacks
-from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, bulyan_selection,
-                               estimate_resilience, max_f, multi_krum_selection)
+from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, aggregate_with_selection,
+                               estimate_resilience, max_f)
 from gasfl.core import SeedSpec, pairwise_sq_dists
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
+
+
+def _kept(kind, x, f):
+    return aggregate_with_selection(AggregatorSpec(kind), x, f)[1]
 
 
 def _direct_sq_dists(x):
@@ -91,10 +95,10 @@ def test_multi_krum_selection_translation_and_permutation_invariant(data, f_shar
     x, shift, perm = data
     n = x.shape[0]
     f = int(f_share * max_f(AggregatorSpec("multi_krum"), n))
-    sel = multi_krum_selection(x, f)
-    assert np.array_equal(multi_krum_selection(x + shift, f), sel)
+    sel = _kept("multi_krum", x, f)
+    assert np.array_equal(_kept("multi_krum", x + shift, f), sel)
     if n - f - 2 >= 2:
-        assert np.array_equal(np.sort(perm[multi_krum_selection(x[perm], f)]), sel)
+        assert np.array_equal(np.sort(perm[_kept("multi_krum", x[perm], f)]), sel)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,12 +107,12 @@ def test_bulyan_selection_translation_and_permutation_invariant(data, f_share):
     x, shift, perm = data
     n = x.shape[0]
     f = int(f_share * max_f(AggregatorSpec("bulyan"), n))
-    sel = bulyan_selection(x, f)
-    assert np.array_equal(bulyan_selection(x + shift, f), sel)
+    sel = _kept("bulyan", x, f)
+    assert np.array_equal(_kept("bulyan", x + shift, f), sel)
     # the pool shrinks to 2f + 1 clients, scored over f - 1 peers; with f = 0
     # every client is picked, whatever the ties
     if f == 0 or f >= 3:
-        assert np.array_equal(np.sort(perm[bulyan_selection(x[perm], f)]), sel)
+        assert np.array_equal(np.sort(perm[_kept("bulyan", x[perm], f)]), sel)
 
 
 # a finite upload whose squared norm overflows ------------------------------------
@@ -122,8 +126,8 @@ def test_huge_finite_row_is_dropped_without_nan(big):
     sq = pairwise_sq_dists(x)
     assert not np.isnan(sq).any()
     assert (sq[0, 1:] > 0).all()
-    assert np.array_equal(multi_krum_selection(x, 2), np.arange(1, 11))
-    assert np.array_equal(bulyan_selection(x, 2), np.arange(1, 9))
+    assert np.array_equal(_kept("multi_krum", x, 2), np.arange(1, 11))
+    assert np.array_equal(_kept("bulyan", x, 2), np.arange(1, 9))
     for base in ("multi_krum", "bulyan"):
         cfg = GasConfig(p=2, base=AggregatorSpec(base), selection=KnownF(2), seed=SeedSpec(0))
         agg, table, sel, _ = gas_aggregate(cfg, x)
@@ -136,9 +140,9 @@ def test_bulyan_never_repicks_when_every_score_is_inf():
     # inf, so every Krum score in every pool is inf and the pool order decides
     x = np.eye(6) * np.finfo(float).max
     assert np.isposinf(pairwise_sq_dists(x)[~np.eye(6, dtype=bool)]).all()
-    assert np.array_equal(bulyan_selection(x, 1), [0, 1, 2, 3])
+    assert np.array_equal(_kept("bulyan", x, 1), [0, 1, 2, 3])
     stack = np.stack([x, x[::-1]])
-    assert np.array_equal(bulyan_selection(stack, 1), [[0, 1, 2, 3], [0, 1, 2, 3]])
+    assert np.array_equal(_kept("bulyan", stack, 1), [[0, 1, 2, 3], [0, 1, 2, 3]])
 
 
 # a stack scores each matrix as it would alone ------------------------------------
@@ -177,9 +181,11 @@ def test_stacked_aggregate_matches_each_matrix_alone(stack, f_share):
         f = int(f_share * max_f(spec, n))
         stacked = aggregate(spec, stack, f, seed=seed)
         assert stacked.shape == (stack.shape[0], stack.shape[2])
+        _, stacked_kept = aggregate_with_selection(spec, stack, f, seed=seed)
         for g in range(stack.shape[0]):
-            alone = aggregate(spec, stack[g], f, seed=seed)
+            alone, kept = aggregate_with_selection(spec, stack[g], f, seed=seed)
             assert np.array_equal(stacked[g], alone), (spec, f, g)
+            assert np.array_equal(stacked_kept[g], kept), (spec, f, g)
 
 
 # memory stays bounded in d -------------------------------------------------------
@@ -197,8 +203,8 @@ MEMORY_CASES = {
     # one centered copy of the input, the std taken from it in column blocks
     "min_max": (lambda x: attacks.min_max(x), 1.25),
     "min_sum": (lambda x: attacks.min_sum(x), 1.25),
-    "multi_krum_selection": (lambda x: multi_krum_selection(x, F), 4),
-    "bulyan_selection": (lambda x: bulyan_selection(x, F), 4),
+    "multi_krum": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F), 4),
+    "bulyan": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4),
     # draws its own (N, D) points
     "estimate_resilience": (lambda x: estimate_resilience(AggregatorSpec("multi_krum"), N, F, D,
                                                           1, SeedSpec(0)), 4),

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from gasfl.aggregators import AggregatorSpec, coordinate_median
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasfl.aggregators import AggregatorSpec, aggregate
 from gasfl.core import SeedSpec
 from gasfl.gas import (_BLOCK_BYTES, GasConfig, KnownF, Ratio, SelectionResult, gas_aggregate,
                        group_scores, select_clients)
@@ -37,7 +40,7 @@ def test_group_scores_mean_base():
 def test_group_scores_median_matches_direct():
     sub = _rand(1, 5, 2)
     _, scores = group_scores(sub, AggregatorSpec("median"), 1)
-    direct = np.linalg.norm(sub - coordinate_median(sub), axis=1)
+    direct = np.linalg.norm(sub - aggregate(AggregatorSpec("median"), sub, 0), axis=1)
     assert np.abs(scores - direct).max() <= 1e-12
 
 
@@ -73,10 +76,23 @@ def test_gas_known_f_zero_reduces_to_mean():
     assert np.abs(agg - x.mean(axis=0)).max() <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 12), d=st.integers(1, 40), p_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_gas_known_f_zero_is_the_mean_bit_for_bit(n, d, p_share, seed):
+    # with f = 0 every client is kept, whatever the base scores
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    p = 1 + int(p_share * (d - 1))
+    for base in ALL_BASES:
+        agg, _, sel, _ = gas_aggregate(_cfg(p=p, base=base, selection=KnownF(0), seed=seed), x)
+        assert np.array_equal(sel.selected, np.arange(n)), base
+        assert np.array_equal(agg, x.mean(axis=0)), base
+
+
 def test_gas_p1_totals_are_whole_vector_distances():
     x = _rand(3, 7, 9)
     _, table, _, _ = gas_aggregate(_cfg(p=1), x)
-    direct = np.linalg.norm(x - coordinate_median(x), axis=1)
+    direct = np.linalg.norm(x - aggregate(AggregatorSpec("median"), x, 0), axis=1)
     assert np.abs(table.totals - direct).max() <= 1e-12
 
 
