@@ -50,29 +50,35 @@ def test_unknown_kind_rejected():
 
 # the bound table ----------------------------------------------------------
 
-# every rule, through both entry points; a rule without a selection step
-# reports every client as kept, so it is named by its aggregate alone
+# name -> (spec, whether the case also checks the kept indices); every case
+# checks the bound through both entry points and that they agree at max_f. A
+# rule without a selection step reports every client as kept
 PUBLIC_RULES = {
-    **{f"aggregate_{kind}": AggregatorSpec(kind)
-       for kind in ("mean", "median", "trimmed_mean", "geometric_median")},
-    "multi_krum": MULTI_KRUM,
-    "bulyan": BULYAN,
-    "dnc": DNC,
+    **{f"aggregate_{kind}": (AggregatorSpec(kind), False)
+       for kind in ("mean", "median", "geometric_median")},
+    "coordinate_trimmed_mean": (TRIMMED_MEAN, False),
+    "multi_krum": (MULTI_KRUM, False),
+    "multi_krum_selection": (MULTI_KRUM, True),
+    "bulyan": (BULYAN, False),
+    "bulyan_selection": (BULYAN, True),
+    "dnc": (DNC, False),
     # DnC drawing a coordinate sample, over two filtering rounds
-    "dnc_sampled": AggregatorSpec("dnc", c=2.0, niters=2, b=2),
+    "dnc_survivors": (AggregatorSpec("dnc", c=2.0, niters=2, b=2), True),
 }
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 17])
 @pytest.mark.parametrize("name", sorted(PUBLIC_RULES))
 def test_public_rule_functions_accept_exactly_max_f(name, n):
-    spec = PUBLIC_RULES[name]
+    spec, checks_kept = PUBLIC_RULES[name]
     x = _rand(26, n, 3)
     top = max_f(spec, n)
     if top >= 0:
         expected, kept = aggregate_with_selection(spec, x, top, seed=SeedSpec(4))
         assert np.array_equal(aggregate(spec, x, top, seed=SeedSpec(4)), expected)
-        assert len(kept) >= 1
+        if checks_kept:
+            assert len(kept) >= 1
+            assert np.all(np.diff(kept) > 0) and kept[0] >= 0 and kept[-1] < n
     for f in (-1, top + 1):
         for entry in (aggregate, aggregate_with_selection):
             with pytest.raises(ValueError, match="requires"):

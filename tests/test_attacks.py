@@ -30,6 +30,15 @@ def test_craft_bit_flip_negates_own_gradient():
     assert np.array_equal(out, [[-1.0, 2.0]])
 
 
+def test_bit_flip_helper():
+    # every Byzantine row is negated; the clients' own gradients are left as they were
+    own = _rand(5, 2, 3)
+    before = own.copy()
+    out = craft(AttackSpec("bit_flip"), AttackContext(_rand(6, 4, 3), 2, own))
+    assert np.array_equal(out, -before)
+    assert np.array_equal(own, before)
+
+
 def test_craft_label_flip_passes_through():
     own = _rand(3, 2, 4)
     out = craft(AttackSpec("label_flip"), AttackContext(_rand(4, 5, 4), 2, own))

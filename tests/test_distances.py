@@ -203,8 +203,8 @@ MEMORY_CASES = {
     # one centered copy of the input, the std taken from it in column blocks
     "min_max": (lambda x: attacks.min_max(x), 1.25),
     "min_sum": (lambda x: attacks.min_sum(x), 1.25),
-    "multi_krum": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F), 4),
-    "bulyan": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4),
+    "multi_krum_selection": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F), 4),
+    "bulyan_selection": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4),
     # draws its own (N, D) points
     "estimate_resilience": (lambda x: estimate_resilience(AggregatorSpec("multi_krum"), N, F, D,
                                                           1, SeedSpec(0)), 4),
