@@ -8,7 +8,7 @@ Run with: python demos/03_attack_suite.py
 
 import numpy as np
 
-from gasfl.attacks import AttackContext, AttackSpec, craft, min_max
+from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec
 
 rng = np.random.default_rng(3)
@@ -37,6 +37,6 @@ for kind in ["none", "bit_flip", "lie", "min_max", "min_sum", "ipm"]:
     }[kind]
     print(f"{kind:11s} {np.linalg.norm(vec):10.3f} {np.linalg.norm(vec - mu):13.3f}  {note}")
 
-mm = min_max(honest)
+mm = craft(AttackSpec("min_max"), AttackContext(honest, f), SeedSpec(4))[0]
 print(f"\nmin_max envelope check: max_i ||v - g_i|| = "
       f"{np.linalg.norm(honest - mm, axis=1).max():.6f} <= {max_pair:.6f}")

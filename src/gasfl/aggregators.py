@@ -60,7 +60,7 @@ class AggregatorSpec:
             raise ValueError(f"kind {self.kind!r} is an unknown aggregator kind, expected one of {KINDS}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.b < 1:
             raise ValueError(f"b must be >= 1, got {self.b}")

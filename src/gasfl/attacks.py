@@ -1,15 +1,19 @@
-"""Omniscient model-poisoning attacks.
+"""Omniscient model-poisoning attacks, all entered through `craft`.
 
-Each attack sees the full matrix of honest gradients for the round and emits
-the f Byzantine uploads. The statistics-based attacks (lie, min_max, min_sum,
-ipm) collude: all f uploads are identical. bit_flip and label_flip act on the
-Byzantine clients' own training instead; label flipping happens inside local
-training, so its crafted vectors pass through unchanged here.
+`craft(spec, ctx, seed)` returns the f Byzantine uploads of one round. The
+OWN_GRADIENT_KINDS act on the Byzantine clients' own training: none sends
+it, bit_flip negates it, and label_flip flips labels inside local training,
+so its vectors pass through unchanged here. The other kinds see the full
+matrix of honest gradients and collude, so all f uploads are identical:
+lie is mean + z * std, ipm is -epsilon * mean, and min_max and min_sum push
+along -std as far as an honest distance bound allows.
 
-min_max and min_sum make one centered copy of the honest rows and take the
-std, the honest pairwise distances (one Gram matrix, `core.centered_sq_dists`)
-and their O(n)-per-probe step search from it, so besides their input they
-hold one (n, d) array and O(n^2) more, never (n, n, d).
+min_max and min_sum are one search for the step gamma (`_push_along_std`)
+and differ only in the bound and in how they reduce the distances to the
+honest rows (max or sum). They take the std, the honest pairwise distances
+(one Gram matrix, `core.centered_sq_dists`) and an O(n)-per-probe step
+search from one centered copy of the honest rows, so besides their input
+they hold one (n, d) array and O(n^2) more, never (n, n, d).
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ import numpy as np
 
 from .core import SeedSpec, as_gradient_matrix, centered_sq_dists
 
-KINDS = ("none", "bit_flip", "label_flip", "lie", "min_max", "min_sum", "ipm")
+OWN_GRADIENT_KINDS = ("none", "bit_flip", "label_flip")
+KINDS = OWN_GRADIENT_KINDS + ("lie", "min_max", "min_sum", "ipm")
 
 _GAMMA_CAP = 1e12
 
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Tagged choice of attack plus its hyperparameters.
+    """Tagged choice of attack plus its hyperparameters, and their only defaults.
 
     `z` scales the lie offset, `gamma_init`/`tau` drive the min_max/min_sum
     step search, and `epsilon` scales the inner-product manipulation.
@@ -43,9 +48,9 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind {self.kind!r} is an unknown attack kind, expected one of {KINDS}")
-        if self.gamma_init <= 0:
+        if not self.gamma_init > 0:
             raise ValueError(f"gamma_init must be positive, got {self.gamma_init}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
@@ -55,7 +60,7 @@ class AttackContext:
 
     honest_gradients is the (n_honest, d) matrix of true honest uploads;
     byz_true_gradients holds the Byzantine clients' own honestly computed
-    gradients (needed by none / bit_flip / label_flip), or None.
+    gradients (needed by the OWN_GRADIENT_KINDS), or None.
     """
 
     honest_gradients: np.ndarray
@@ -63,10 +68,56 @@ class AttackContext:
     byz_true_gradients: np.ndarray | None = None
 
 
-def lie(honest, z: float) -> np.ndarray:
-    """Hide just outside the crowd: mean + z * population std, per coordinate."""
-    x = _require_honest(honest, 2, "lie")
-    return x.mean(axis=0) + z * x.std(axis=0)
+def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) -> np.ndarray:
+    """The f Byzantine uploads for this round, as an (f, d) matrix.
+
+    Colluding attacks return f copies of one vector. `seed` is part of the
+    contract for future randomized attacks; none of the current kinds use it.
+    """
+    f = ctx.byz_count
+    if f < 0:
+        raise ValueError(f"Byzantine count must be >= 0, got {f}")
+    if f and spec.kind in OWN_GRADIENT_KINDS:
+        own = ctx.byz_true_gradients
+        if own is None:
+            raise ValueError(f"{spec.kind} needs the Byzantine clients' own gradients")
+        own = as_gradient_matrix(own)
+        if own.shape[0] != f:
+            raise ValueError(f"expected {f} Byzantine gradients, got {own.shape[0]}")
+        return -own if spec.kind == "bit_flip" else own.copy()
+
+    x = as_gradient_matrix(ctx.honest_gradients)
+    if f == 0:
+        return np.zeros((0, x.shape[1]))
+    minimum = 1 if spec.kind == "ipm" else 2
+    if x.shape[0] < minimum:
+        raise ValueError(f"{spec.kind} needs at least {minimum} honest gradients, got {x.shape[0]}")
+    if spec.kind == "lie":  # hide just outside the crowd, in population-std units
+        vec = x.mean(axis=0) + spec.z * x.std(axis=0)
+    elif spec.kind == "ipm":  # the negatively scaled honest mean flips the update's direction
+        vec = -spec.epsilon * x.mean(axis=0)
+    else:
+        vec = _push_along_std(x, spec)
+    return np.tile(vec, (f, 1))
+
+
+def _push_along_std(x: np.ndarray, spec: AttackSpec) -> np.ndarray:
+    """min_max or min_sum: mu - gamma * std for the largest feasible gamma.
+
+    min_max keeps the largest distance to an honest row within the largest
+    honest pairwise distance; min_sum keeps the sum of squared distances
+    within the worst honest row's sum of squared distances to its peers.
+    """
+    mu, delta, pair_sq, sq_dists = _spread(x)
+    if not delta.any():
+        return mu
+    if spec.kind == "min_max":
+        bound, reduce = float(pair_sq.max()), np.max
+    else:
+        bound, reduce = float(pair_sq.sum(axis=1).max()), np.sum
+    gamma = _largest_feasible_gamma(lambda g: float(reduce(sq_dists(g))) <= bound,
+                                    spec.gamma_init, spec.tau)
+    return mu - gamma * delta
 
 
 def _largest_feasible_gamma(feasible: Callable[[float], bool], gamma_init: float, tau: float) -> float:
@@ -83,34 +134,6 @@ def _largest_feasible_gamma(feasible: Callable[[float], bool], gamma_init: float
         else:
             hi = mid
     return lo
-
-
-def min_max(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
-    """Push along -std as far as the largest honest pairwise distance allows."""
-    x = _require_honest(honest, 2, "min_max")
-    mu, delta, pair_sq, sq_dists = _spread(x)
-    if not delta.any():
-        return mu
-    bound = float(pair_sq.max())
-
-    def feasible(gamma: float) -> bool:
-        return float(sq_dists(gamma).max()) <= bound
-
-    return mu - _largest_feasible_gamma(feasible, gamma_init, tau) * delta
-
-
-def min_sum(honest, gamma_init: float = 10.0, tau: float = 1e-5) -> np.ndarray:
-    """Like min_max, but bounded by the worst honest sum of squared distances."""
-    x = _require_honest(honest, 2, "min_sum")
-    mu, delta, pair_sq, sq_dists = _spread(x)
-    if not delta.any():
-        return mu
-    bound = float(pair_sq.sum(axis=1).max())
-
-    def feasible(gamma: float) -> bool:
-        return float(sq_dists(gamma).sum()) <= bound
-
-    return mu - _largest_feasible_gamma(feasible, gamma_init, tau) * delta
 
 
 def _spread(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -147,51 +170,4 @@ def _spread(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return mu, delta, pair_sq, lambda gamma: a + gamma * (2.0 * b + gamma * dd)
 
 
-def ipm(honest, epsilon: float = 0.5) -> np.ndarray:
-    """Send the negatively scaled honest mean to flip the update's direction."""
-    x = _require_honest(honest, 1, "ipm")
-    return -epsilon * x.mean(axis=0)
-
-
-def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) -> np.ndarray:
-    """The f Byzantine uploads for this round, as an (f, d) matrix.
-
-    Colluding attacks return f copies of one vector. `seed` is part of the
-    contract for future randomized attacks; none of the current kinds use it.
-    """
-    f = ctx.byz_count
-    if f < 0:
-        raise ValueError(f"Byzantine count must be >= 0, got {f}")
-    if f == 0:
-        d = as_gradient_matrix(ctx.honest_gradients).shape[1]
-        return np.zeros((0, d))
-    if spec.kind in ("none", "label_flip", "bit_flip"):
-        own = ctx.byz_true_gradients
-        if own is None:
-            raise ValueError(f"{spec.kind} needs the Byzantine clients' own gradients")
-        own = as_gradient_matrix(own)
-        if own.shape[0] != f:
-            raise ValueError(f"expected {f} Byzantine gradients, got {own.shape[0]}")
-        return -own if spec.kind == "bit_flip" else own.copy()
-
-    if spec.kind == "lie":
-        vec = lie(ctx.honest_gradients, spec.z)
-    elif spec.kind == "min_max":
-        vec = min_max(ctx.honest_gradients, spec.gamma_init, spec.tau)
-    elif spec.kind == "min_sum":
-        vec = min_sum(ctx.honest_gradients, spec.gamma_init, spec.tau)
-    elif spec.kind == "ipm":
-        vec = ipm(ctx.honest_gradients, spec.epsilon)
-    else:
-        raise ValueError(f"unknown attack kind {spec.kind!r}")
-    return np.tile(vec, (f, 1))
-
-
-def _require_honest(honest, minimum: int, name: str) -> np.ndarray:
-    x = as_gradient_matrix(honest)
-    if x.shape[0] < minimum:
-        raise ValueError(f"{name} needs at least {minimum} honest gradients, got {x.shape[0]}")
-    return x
-
-
-__all__ = ["AttackSpec", "AttackContext", "KINDS", "craft", "lie", "min_max", "min_sum", "ipm"]
+__all__ = ["AttackSpec", "AttackContext", "KINDS", "OWN_GRADIENT_KINDS", "craft"]

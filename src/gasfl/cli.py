@@ -16,7 +16,7 @@ from pathlib import Path
 from .aggregators import KINDS as AGR_KINDS
 from .aggregators import AggregatorSpec, estimate_resilience
 from .checks import SUITES, run_suite
-from .config import ConfigError, emit_config, emit_json, make_manifest, manifest_to_dict, parse_config
+from .config import ConfigError, emit_config, emit_json, manifest, parse_config
 from .core import SeedSpec
 from .simulation import ExperimentConfig, GasDefense, RoundRecord, run_experiment
 
@@ -74,7 +74,7 @@ def _execute_run(cfg: ExperimentConfig, out_dir: Path) -> None:
                "manifest": "manifest.json", "timings": "timings.txt"}
     _write(out_dir / "rounds.csv", _rounds_csv(all_records))
     _write(out_dir / "summary.txt", _summary_text(summary))
-    _write(out_dir / "manifest.json", emit_json(manifest_to_dict(make_manifest(cfg, outputs))))
+    _write(out_dir / "manifest.json", emit_json(manifest(cfg, outputs)))
     _write(out_dir / "timings.txt", _timings_text(all_records))
 
 
@@ -133,11 +133,16 @@ def cmd_sweep(args) -> int:
             raise ConfigError("values", "no sweep values given")
         if args.axis not in SWEEP_AXES:
             raise ConfigError("axis", f"expected one of {SWEEP_AXES}, got {args.axis!r}")
+        names = [f"{args.axis}_{format(value, 'g')}" for value in values]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError("values", f"{values[names.index(name)]} and {values[i]} "
+                                            f"would share the directory {name}/")
         points = []
-        for idx, value in enumerate(values):
+        for idx, (value, name) in enumerate(zip(values, names)):
             cfg = _apply_axis(base_cfg, args.axis, value)
             cfg = dataclasses.replace(cfg, master_seed=_derive_sweep_seed(base_cfg.master_seed, args.axis, idx))
-            points.append((value, cfg))
+            points.append((value, name, cfg))
     except FileNotFoundError:
         print(f"config not found: {args.config}", file=sys.stderr)
         return EXIT_CONFIG
@@ -148,8 +153,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     lines = [f"{args.axis},repeat,best_accuracy,final_accuracy,mean_deviation"]
     try:
-        for value, cfg in points:
-            sub = out_dir / f"{args.axis}_{format(value, 'g')}"
+        for value, name, cfg in points:
+            sub = out_dir / name
             records, summary = run_experiment(cfg)
             sub.mkdir(parents=True, exist_ok=True)
             _write(sub / "rounds.csv", _rounds_csv(records))

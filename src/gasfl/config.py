@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 from functools import cache
 from typing import Any
 
@@ -39,16 +39,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one invocation."""
-
-    artifact_version: str
-    master_seed: int
-    config: ExperimentConfig
-    outputs: dict[str, str]
 
 
 @cache
@@ -185,25 +175,10 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return emit_json(config_to_dict(cfg))
 
 
-def manifest_to_dict(manifest: RunManifest) -> dict[str, Any]:
-    return {"artifact_version": manifest.artifact_version,
-            "master_seed": manifest.master_seed,
-            "config": config_to_dict(manifest.config),
-            "outputs": dict(manifest.outputs)}
+def manifest(cfg: ExperimentConfig, outputs: dict[str, str]) -> dict[str, Any]:
+    """Everything needed to reproduce one invocation, as one JSON object."""
+    return {"artifact_version": __version__, "master_seed": cfg.master_seed,
+            "config": config_to_dict(cfg), "outputs": dict(outputs)}
 
 
-def parse_manifest(text: str) -> RunManifest:
-    raw = json.loads(text)
-    return RunManifest(artifact_version=raw["artifact_version"],
-                       master_seed=raw["master_seed"],
-                       config=parse_config(json.dumps(raw["config"])),
-                       outputs=dict(raw["outputs"]))
-
-
-def make_manifest(cfg: ExperimentConfig, outputs: dict[str, str]) -> RunManifest:
-    return RunManifest(artifact_version=__version__, master_seed=cfg.master_seed,
-                       config=cfg, outputs=outputs)
-
-
-__all__ = ["ConfigError", "RunManifest", "parse_config", "config_to_dict", "emit_config",
-           "emit_json", "manifest_to_dict", "parse_manifest", "make_manifest"]
+__all__ = ["ConfigError", "parse_config", "config_to_dict", "emit_config", "emit_json", "manifest"]

@@ -160,7 +160,7 @@ def dirichlet_partition(labels: np.ndarray, n_clients: int, beta: float,
     """
     if n_clients < 1:
         raise ValueError(f"need at least 1 client, got {n_clients}")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"concentration must be positive, got beta={beta}")
     labels = np.asarray(labels)
     shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import gas as gas_mod
 from .aggregators import AggregatorSpec, _check_f, aggregate_with_selection, bucketing_wrap, max_f
-from .attacks import AttackContext, AttackSpec, craft
+from .attacks import OWN_GRADIENT_KINDS, AttackContext, AttackSpec, craft
 from .core import SeedSpec, check_server_ingress
 from .data import ClientShards, SyntheticDataset, dirichlet_partition, generate_synthetic
 from .models import Model
@@ -50,7 +50,7 @@ class TrainerConfig:
     clip_norm: float | None = 2.0
 
     def __post_init__(self):
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive when enabled, got {self.clip_norm}")
         if self.local_epochs < 0:
             raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
@@ -85,10 +85,10 @@ class DataConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.test_per_class is not None and self.test_per_class < 1:
             raise ValueError(f"test_per_class must be >= 1 or null, got {self.test_per_class}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         for name in ("r_sep", "noise"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
@@ -169,7 +169,7 @@ class ExperimentConfig:
             raise ValueError(f"client_sample_ratio {self.client_sample_ratio} samples "
                              f"{self.sample_size} of {self.n_clients} clients per round, "
                              f"and a gas defense needs at least 2")
-        if self.init_scale < 0:
+        if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
@@ -334,7 +334,7 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
     if honest_clients.size == 0:
         raise ValueError(f"round {t}: no honest client sampled")
 
-    needs_own = cfg.attack.kind in ("none", "bit_flip", "label_flip")
+    needs_own = cfg.attack.kind in OWN_GRADIENT_KINDS
     train_ids = sampled if needs_own else honest_clients
     train_seed = state.seed.child("train", t)
     updates = local_train(state.model, state.w, state.shards.take(train_ids), cfg.trainer,

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from gasfl import attacks
-from gasfl.attacks import AttackContext, AttackSpec, craft, ipm, lie, min_max, min_sum
+from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec, pairwise_sq_dists
 
 
 def _rand(seed, n, d):
     return np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 1.0
+
+
+def _vec(kind, honest, **params):
+    """The one vector a colluding attack sends, crafted for one Byzantine client."""
+    return craft(AttackSpec(kind, **params), AttackContext(honest, 1))[0]
 
 
 def _max_pairwise(x):
@@ -98,12 +103,12 @@ def test_craft_invariant_under_honest_permutation():
 
 def test_lie_z_zero_is_mean():
     honest = _rand(11, 5, 3)
-    assert np.allclose(lie(honest, 0.0), honest.mean(axis=0))
+    assert np.allclose(_vec("lie", honest, z=0.0), honest.mean(axis=0))
 
 
 def test_lie_population_std_convention():
     # mean 1, population std 1 -> 1 + 1.5
-    assert np.array_equal(lie(np.array([[0.0], [2.0]]), 1.5), [2.5])
+    assert np.array_equal(_vec("lie", np.array([[0.0], [2.0]]), z=1.5), [2.5])
 
 
 def test_lie_default_z():
@@ -114,8 +119,8 @@ def test_lie_default_z():
 
 def test_min_max_identical_honest_returns_mean():
     honest = np.tile([1.0, -3.0], (4, 1))
-    assert np.array_equal(min_max(honest), [1.0, -3.0])
-    assert np.array_equal(min_sum(honest), [1.0, -3.0])
+    assert np.array_equal(_vec("min_max", honest), [1.0, -3.0])
+    assert np.array_equal(_vec("min_sum", honest), [1.0, -3.0])
 
 
 def _honest_draws(seed):
@@ -131,20 +136,21 @@ def _honest_draws(seed):
 
 def test_min_max_constraint_satisfied():
     for honest in _honest_draws(12):
-        out = min_max(honest)
+        out = _vec("min_max", honest)
         assert np.linalg.norm(honest - out, axis=1).max() <= _max_pairwise(honest) + 1e-6
 
 
 def test_min_sum_constraint_satisfied():
     for honest in _honest_draws(13):
-        out = min_sum(honest)
+        out = _vec("min_sum", honest)
         diff = honest[:, None, :] - honest[None, :, :]
         bound = np.einsum("ijk,ijk->ij", diff, diff).sum(axis=1).max()
         assert ((honest - out) ** 2).sum() <= bound + 1e-6
 
 
-def _three_pass_attack(x, kind, gamma_init=10.0, tau=1e-5):
+def _three_pass_attack(x, kind):
     """min_max / min_sum from x.mean, x.std, the pairwise_sq_dists bound and x - mu."""
+    spec = AttackSpec(kind)
     mu, delta = x.mean(axis=0), x.std(axis=0)
     if not delta.any():
         return mu
@@ -157,7 +163,7 @@ def _three_pass_attack(x, kind, gamma_init=10.0, tau=1e-5):
     else:
         bound = float(sq.sum(axis=1).max())
         feasible = lambda gamma: float((a + gamma * (2.0 * b + gamma * dd)).sum()) <= bound
-    return mu - attacks._largest_feasible_gamma(feasible, gamma_init, tau) * delta
+    return mu - attacks._largest_feasible_gamma(feasible, spec.gamma_init, spec.tau) * delta
 
 
 def test_one_copy_attacks_match_three_pass_formula():
@@ -167,8 +173,8 @@ def test_one_copy_attacks_match_three_pass_formula():
         for d in (1, 2, 3, 5, 100, 1001, 10_007):
             for scale in (1e-3, 1.0, 1e3):
                 x = rng.standard_normal((n, d)) * scale + rng.uniform(-3, 3)
-                for kind, fn in (("min_max", min_max), ("min_sum", min_sum)):
-                    assert np.array_equal(fn(x), _three_pass_attack(x, kind)), (kind, n, d, scale)
+                for kind in ("min_max", "min_sum"):
+                    assert np.array_equal(_vec(kind, x), _three_pass_attack(x, kind)), (kind, n, d, scale)
                 # the std alone, also where numpy sums each column pairwise
                 for layout in (x, np.asfortranarray(x), x[:, ::-1]):
                     assert np.array_equal(attacks._spread(layout)[1], layout.std(axis=0))
@@ -184,8 +190,8 @@ def test_min_sum_gamma_exceeds_min_max_gamma_on_pinned_seed():
     # so min_sum pushes at least as far along -std as min_max
     honest = np.random.default_rng(2718).standard_normal((8, 4))
     mu, delta = honest.mean(axis=0), honest.std(axis=0)
-    gamma_mm = np.linalg.norm(min_max(honest) - mu) / np.linalg.norm(delta)
-    gamma_ms = np.linalg.norm(min_sum(honest) - mu) / np.linalg.norm(delta)
+    gamma_mm = np.linalg.norm(_vec("min_max", honest) - mu) / np.linalg.norm(delta)
+    gamma_ms = np.linalg.norm(_vec("min_sum", honest) - mu) / np.linalg.norm(delta)
     assert gamma_ms >= gamma_mm - 1e-9
 
 
@@ -197,4 +203,4 @@ def test_attack_spec_validation():
 
 
 def test_ipm_single_honest_allowed():
-    assert np.array_equal(ipm(np.array([[4.0]]), 0.5), [-2.0])
+    assert np.array_equal(_vec("ipm", np.array([[4.0]]), epsilon=0.5), [-2.0])

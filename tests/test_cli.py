@@ -6,7 +6,7 @@ import pytest
 from gasfl.aggregators import KINDS as AGR_KINDS
 from gasfl.attacks import KINDS as ATTACK_KINDS
 from gasfl.cli import main
-from gasfl.config import ConfigError, emit_config, emit_json, manifest_to_dict, make_manifest, parse_config
+from gasfl.config import ConfigError, emit_config, emit_json, manifest, parse_config
 
 SMALL_CONFIG = {
     "experiment": {"n_clients": 6, "n_byzantine": 1, "rounds": 2,
@@ -196,6 +196,19 @@ def test_sweep_p_above_model_dimension_exits_2(tmp_path, capsys):
                  "--values", "4,28", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "defense.p must be <= the model dimension 27" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axis, values, clash", [
+    ("beta", "0.5,0.50000001", "0.5 and 0.50000001 would share the directory beta_0.5/"),
+    ("n", "6,8,6", "6.0 and 6.0 would share the directory n_6/"),
+])
+def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys, axis, values, clash):
+    cfg = _write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--axis", axis,
+                 "--values", values, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"values: {clash}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -427,8 +440,10 @@ def test_config_field_level_errors():
 
 def test_manifest_roundtrip():
     cfg = parse_config(json.dumps(SMALL_CONFIG))
-    manifest = make_manifest(cfg, {"rounds_csv": "rounds.csv"})
-    payload = emit_json(manifest_to_dict(manifest))
-    from gasfl.config import parse_manifest
-    again = parse_manifest(payload)
-    assert emit_json(manifest_to_dict(again)) == payload
+    payload = emit_json(manifest(cfg, {"rounds_csv": "rounds.csv"}))
+    raw = json.loads(payload)
+    assert sorted(raw) == ["artifact_version", "config", "master_seed", "outputs"]
+    assert raw["master_seed"] == cfg.master_seed
+    again = parse_config(json.dumps(raw["config"]))
+    assert again == cfg
+    assert emit_json(manifest(again, raw["outputs"])) == payload

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl import attacks
 from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, aggregate_with_selection,
                                estimate_resilience, max_f)
+from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec, pairwise_sq_dists
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
 
@@ -200,9 +200,9 @@ def _gas(x, base):
 
 # name -> (call, bound on its tracemalloc peak as a multiple of the input)
 MEMORY_CASES = {
-    # one centered copy of the input, the std taken from it in column blocks
-    "min_max": (lambda x: attacks.min_max(x), 1.25),
-    "min_sum": (lambda x: attacks.min_sum(x), 1.25),
+    # one centered copy of the input, the std squared and added from it row by row
+    "min_max": (lambda x: craft(AttackSpec("min_max"), AttackContext(x, 1)), 1.25),
+    "min_sum": (lambda x: craft(AttackSpec("min_sum"), AttackContext(x, 1)), 1.25),
     "multi_krum_selection": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F), 4),
     "bulyan_selection": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4),
     # draws its own (N, D) points

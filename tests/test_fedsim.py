@@ -88,6 +88,28 @@ def test_dirichlet_validation():
         dirichlet_partition(np.array([0, 1]), 2, 0.0, SeedSpec(0))
 
 
+NAN = float("nan")
+
+
+# every float bound a library caller can reach, each written so that NaN fails it
+@pytest.mark.parametrize("build, message", [
+    (lambda: AggregatorSpec("geometric_median", eps=NAN), "eps must be positive"),
+    (lambda: AttackSpec("min_max", gamma_init=NAN), "gamma_init must be positive"),
+    (lambda: AttackSpec("min_max", tau=NAN), "tau must be positive"),
+    (lambda: TrainerConfig(clip_norm=NAN), "clip_norm must be positive when enabled"),
+    (lambda: DataConfig(beta=NAN), "beta must be positive"),
+    (lambda: DataConfig(r_sep=NAN), "r_sep must be >= 0"),
+    (lambda: DataConfig(noise=NAN), "noise must be >= 0"),
+    (lambda: _small_cfg(init_scale=NAN), "init_scale must be >= 0"),
+    (lambda: dirichlet_partition(np.array([0, 1]), 2, NAN, SeedSpec(0)), "concentration must be positive"),
+], ids=["AggregatorSpec.eps", "AttackSpec.gamma_init", "AttackSpec.tau", "TrainerConfig.clip_norm",
+        "DataConfig.beta", "DataConfig.r_sep", "DataConfig.noise", "ExperimentConfig.init_scale",
+        "dirichlet_partition.beta"])
+def test_nan_fails_every_float_bound(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # model gradients ---------------------------------------------------------------
 
 @pytest.mark.parametrize("hidden", [None, 6])
