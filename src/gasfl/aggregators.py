@@ -164,6 +164,11 @@ def _trimmed_mean(stack: np.ndarray, f: int) -> np.ndarray:
     return np.sort(stack, axis=-2)[..., f : n - f, :].mean(axis=-2)
 
 
+# the rules whose kernels build an (n, n) matrix for every matrix of a
+# stack: the Krum and Bulyan distances (`pairwise_sq_dists`) and DnC's Gram
+PAIRWISE_KINDS = ("multi_krum", "bulyan", "dnc")
+
+
 def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
     # score(i) = sum of squared distances to its (n - f - 2) nearest peers,
     # for one (n, n) distance matrix or each matrix of a (groups, n, n)
@@ -447,6 +452,6 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
 
 
 __all__ = [
-    "AggregatorSpec", "ResilienceReport", "KINDS",
+    "AggregatorSpec", "ResilienceReport", "KINDS", "PAIRWISE_KINDS",
     "aggregate", "aggregate_with_selection", "bucketing_wrap", "estimate_resilience", "max_f",
 ]

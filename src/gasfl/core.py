@@ -195,13 +195,20 @@ def _overflow_shift(c: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.where(huge, np.frexp(peak)[1], 0)
 
 
+# Entries per finiteness check in `check_server_ingress`: its bool array
+# stays this small whatever the upload size.
+_INGRESS_BLOCK = 1 << 16
+
+
 def check_server_ingress(matrix: np.ndarray) -> None:
     """Reject client uploads containing NaN (or infinite) entries.
 
-    Clean uploads cost one `isfinite` pass. On failure NaN is reported
-    before inf, naming the first client that holds one.
+    Clean uploads cost one `isfinite` pass, taken a block of rows at a time.
+    Only a block holding a non-finite entry leads to the full scan, which
+    reports NaN before inf, naming the first client that holds one.
     """
-    if np.isfinite(matrix).all():
+    rows = max(1, _INGRESS_BLOCK // matrix.shape[1])
+    if all(np.isfinite(matrix[i:i + rows]).all() for i in range(0, len(matrix), rows)):
         return
     if np.isnan(matrix).any():
         bad = int(np.argwhere(np.isnan(matrix).any(axis=1))[0, 0])

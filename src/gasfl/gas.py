@@ -7,15 +7,21 @@ clients, and returns their plain average. Low-dimensional group scoring keeps
 colluding outliers visible, while averaging the kept clients preserves all
 the honest signal.
 
-The gradients are transposed once into a C-ordered (d, n) copy. Group sizes
-differ by at most one, so the groups are walked in blocks of equal-size
-groups, each block at most `_BLOCK_BYTES` and gathered once into a
-(size, groups, n) buffer; memory beyond the copy stays fixed whatever d is.
+Group sizes differ by at most one, so the groups are walked in blocks of
+equal-size groups. Each block is read straight from the uploads, along their
+rows, and laid out as one C-ordered (size, groups, n) buffer; no copy of the
+whole matrix is made for a C-ordered input. A block holds at most
+`_BLOCK_BYTES` of gathered rows and, when the base rule builds an (n, n)
+matrix per group, at most `_BLOCK_BYTES` of those matrices too, so the
+working memory beyond the input is one bounded block whatever d, p and the
+base are. The price is locality: each gathered coordinate reads its own
+cache line of every upload row, where a transposed copy would stream them.
 Whatever the base rule, it runs once per block, through `aggregate`, on the
 buffer's (groups, n, size) view, and gives each group bit for bit the
-aggregate it gives that group alone. The group scores of a block are then
-taken in place on its buffer. `group_scores` is the one-group form, kept as
-the straight-line reference.
+aggregate it gives that group alone, so block boundaries never change a
+group's bits. The group scores of a block are then taken in place on its
+buffer. `group_scores` is the one-group form, kept as the straight-line
+reference.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from typing import Union
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _check_f, aggregate
+from .aggregators import PAIRWISE_KINDS, AggregatorSpec, _check_f, aggregate
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
 
-# Bytes of client rows gathered per block of groups: the scoring holds about
-# two blocks beside the (d, n) transposed copy, whatever d is.
+# Bytes per block of groups, for its gathered client rows and for the
+# (groups, n, n) stack a pairwise base builds from them.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -119,19 +125,22 @@ def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
     return n - f, f
 
 
-def _group_blocks(partition: IndexPartition, n: int):
-    """The groups in blocks of at most `_BLOCK_BYTES` of (n,) rows, in group order.
+def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
+    """The groups in blocks of at most `_BLOCK_BYTES` each, in group order.
 
-    Yields (first, cols): `cols` is a (groups, size) index array whose rows
-    are groups first .. first + groups - 1. Group sizes differ by at most
-    one, the groups of the larger size come first, and no block mixes sizes.
+    A block's gathered (n,) rows stay within the budget, and so do the
+    (n, n) matrices, one per group, of a base in `PAIRWISE_KINDS`. Yields
+    (first, cols): `cols` is a (groups, size) index array whose rows are
+    groups first .. first + groups - 1. Group sizes differ by at most one,
+    the groups of the larger size come first, and no block mixes sizes.
     """
     lo = partition.d // partition.p
     split = (partition.d - lo * partition.p) * (lo + 1)
     first = 0
     for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
         groups = cols.reshape(-1, size)
-        step = max(1, _BLOCK_BYTES // (size * n * 8))
+        width = max(size, n) if base.kind in PAIRWISE_KINDS else size
+        step = max(1, _BLOCK_BYTES // (width * n * 8))
         for start in range(0, groups.shape[0], step):
             yield first + start, groups[start:start + step]
         first += groups.shape[0]
@@ -143,18 +152,19 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
 
     The coordinate partition is resampled per round (or held fixed, per
     `config.partition_policy`) from seeds derived off `config.seed`, so the
-    call is a pure function of (config, gradients, round). The gradients are
-    transposed once into a C-ordered (d, n) copy, and the groups are walked
-    in blocks of equal-size groups, each gathered once into a
-    (size, groups, n) buffer. The base rule runs once per block on the
-    buffer's (groups, n, size) view; group q's seed, which only DnC draws
-    from, is the round seed's child ("group", q). Each block's scores are
-    then taken in place and reduced over its leading axis, so every group
-    norm adds its coordinates one at a time in ascending order, as the row
-    norms of the column-major `x[:, subset]` in `group_scores` do; a norm
-    past the float range is inf. Totals are summed in ascending group order.
+    call is a pure function of (config, gradients, round). The groups are
+    walked in blocks of equal-size groups (`_group_blocks`), each gathered
+    once from the uploads into a C-ordered (size, groups, n) buffer;
+    uploads in another layout are first copied into C order. The base rule
+    runs once per block on the buffer's (groups, n, size) view; group q's
+    seed, which only DnC draws from, is the round seed's child ("group", q).
+    Each block's scores are then taken in place and reduced over its
+    leading axis, so every group norm adds its coordinates one at a time in
+    ascending order, as the row norms of the column-major `x[:, subset]` in
+    `group_scores` do; a norm past the float range is inf. Totals are summed
+    in ascending group order.
     """
-    x = as_gradient_matrix(gradients)
+    x = np.ascontiguousarray(as_gradient_matrix(gradients))  # else np.take copies it per block
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 clients, got n={n}")
@@ -167,18 +177,19 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         part_seed = config.seed.child("fixed_partition")
     partition = make_partition(d, min(config.p, d), part_seed)
 
-    xt = np.ascontiguousarray(x.T)
     round_seed = config.seed.child("round", round)
     scores = np.empty((partition.p, n))
-    for first, cols in _group_blocks(partition, n):
-        block = np.take(xt, cols.T, axis=0)  # (size, groups, n)
+    for first, cols in _group_blocks(partition, n, config.base):
+        # read along each upload row, then lay out C-ordered as (size, groups, n)
+        block = np.take(x, cols, axis=1).T.copy()
         groups = range(first, first + cols.shape[0])
         center = aggregate(config.base, block.transpose(1, 2, 0), base_f,
                            seed=(round_seed.child("group", q) for q in groups))
         block -= center.T[:, :, None]
         with np.errstate(over="ignore"):
             block *= block
-            np.sqrt(np.add.reduce(block, axis=0), out=scores[first:first + len(groups)])
+            norms = np.add.reduce(block, axis=0, out=scores[first:first + len(groups)])
+            np.sqrt(norms, out=norms)
     table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
     result = select_clients(table.totals, keep_count)
     return _mean_of_rows(x, result.selected), table, result, partition

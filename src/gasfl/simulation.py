@@ -56,6 +56,13 @@ class TrainerConfig:
             raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # a zero learning rate is a valid no-op; a negative one trains by gradient ascent
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)

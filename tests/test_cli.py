@@ -96,6 +96,10 @@ def test_run_missing_config_exits_2(tmp_path):
     ("attack.tau", float("nan"), "attack.tau: must be finite"),
     ("attack.gamma_init", float("nan"), "attack.gamma_init: must be finite"),
     ("trainer.learning_rate", float("inf"), "trainer.learning_rate: must be finite"),
+    # a sign typo would train by gradient ascent
+    ("trainer.learning_rate", -0.1, "trainer.learning_rate: learning_rate "),
+    ("trainer.momentum", 1.0, "trainer.momentum: momentum "),
+    ("trainer.weight_decay", -1e-4, "trainer.weight_decay: weight_decay "),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))

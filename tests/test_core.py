@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,26 @@ def test_ingress_rejects_nan_and_inf():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="client 2.*NaN"):
         check_server_ingress(bad)
+
+
+def test_ingress_checks_wide_uploads_in_row_blocks():
+    # a clean (50, 1e4) matrix is checked without a full (n, d) bool array,
+    # which alone would be 1/8 of the input
+    x = np.random.default_rng(0).standard_normal((50, 10_000))
+    tracemalloc.start()
+    try:
+        check_server_ingress(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 8, f"peaked at {peak / x.nbytes:.3f}x the input"
+    # an entry in the last row block is still found, and NaN still wins
+    x[3, 7] = np.inf
+    with pytest.raises(ValueError, match="client 3.*infinite"):
+        check_server_ingress(x)
+    x[49, -1] = np.nan
+    with pytest.raises(ValueError, match="client 49.*NaN"):
+        check_server_ingress(x)
 
 
 def test_gradient_matrix_accepts_2d_array():

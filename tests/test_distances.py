@@ -193,33 +193,39 @@ def test_stacked_aggregate_matches_each_matrix_alone(stack, f_share):
 N, D, F = 50, 5000, 10
 
 
-def _gas(x, base):
-    return gas_aggregate(GasConfig(p=100, base=AggregatorSpec(base), selection=KnownF(F),
+def _gas(x, base, p=100):
+    return gas_aggregate(GasConfig(p=p, base=AggregatorSpec(base), selection=KnownF(F),
                                    seed=SeedSpec(0)), x)
 
 
-# name -> (call, bound on its tracemalloc peak as a multiple of the input)
+# name -> (call, bound on its tracemalloc peak as a multiple of the input, input width)
 MEMORY_CASES = {
     # one centered copy of the input, the std squared and added from it row by row
-    "min_max": (lambda x: craft(AttackSpec("min_max"), AttackContext(x, 1)), 1.25),
-    "min_sum": (lambda x: craft(AttackSpec("min_sum"), AttackContext(x, 1)), 1.25),
-    "multi_krum_selection": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F), 4),
-    "bulyan_selection": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4),
+    "min_max": (lambda x: craft(AttackSpec("min_max"), AttackContext(x, 1)), 1.25, D),
+    "min_sum": (lambda x: craft(AttackSpec("min_sum"), AttackContext(x, 1)), 1.25, D),
+    "multi_krum_selection": (lambda x: aggregate_with_selection(AggregatorSpec("multi_krum"), x, F),
+                             4, D),
+    "bulyan_selection": (lambda x: aggregate_with_selection(AggregatorSpec("bulyan"), x, F), 4, D),
     # draws its own (N, D) points
     "estimate_resilience": (lambda x: estimate_resilience(AggregatorSpec("multi_krum"), N, F, D,
-                                                          1, SeedSpec(0)), 4),
-    # one transposed copy, the groups gathered and scored block by block
-    "gas_aggregate": (lambda x: _gas(x, "multi_krum"), 2),
-    **{f"gas_aggregate_{base}": (lambda x, base=base: _gas(x, base), 2)
+                                                          1, SeedSpec(0)), 4, D),
+    # the groups gathered straight from the input and scored block by block
+    "gas_aggregate": (lambda x: _gas(x, "multi_krum"), 1, D),
+    **{f"gas_aggregate_{base}": (lambda x, base=base: _gas(x, base), 1, D)
        for base in KINDS if base != "multi_krum"},
+    # one coordinate per group, as at the desk shape: the (p, n) score table
+    # alone is the input's size, and a block also bounds a pairwise base's
+    # (groups, n, n) distances, which for all 650 groups would be 50 inputs
+    **{f"gas_aggregate_p_eq_d_{base}": (lambda x, base=base: _gas(x, base, p=650), 8, 650)
+       for base in KINDS},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MEMORY_CASES))
 def test_peak_memory_is_a_small_multiple_of_the_input(name):
     # an (n, n, d) difference tensor would be N = 50 times the input
-    call, bound = MEMORY_CASES[name]
-    x = np.random.default_rng(1).standard_normal((N, D))
+    call, bound, d = MEMORY_CASES[name]
+    x = np.random.default_rng(1).standard_normal((N, d))
     tracemalloc.start()
     try:
         call(x)

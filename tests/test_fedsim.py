@@ -97,12 +97,16 @@ NAN = float("nan")
     (lambda: AttackSpec("min_max", gamma_init=NAN), "gamma_init must be positive"),
     (lambda: AttackSpec("min_max", tau=NAN), "tau must be positive"),
     (lambda: TrainerConfig(clip_norm=NAN), "clip_norm must be positive when enabled"),
+    (lambda: TrainerConfig(learning_rate=NAN), "learning_rate must be >= 0"),
+    (lambda: TrainerConfig(momentum=NAN), "momentum must lie in"),
+    (lambda: TrainerConfig(weight_decay=NAN), "weight_decay must be >= 0"),
     (lambda: DataConfig(beta=NAN), "beta must be positive"),
     (lambda: DataConfig(r_sep=NAN), "r_sep must be >= 0"),
     (lambda: DataConfig(noise=NAN), "noise must be >= 0"),
     (lambda: _small_cfg(init_scale=NAN), "init_scale must be >= 0"),
     (lambda: dirichlet_partition(np.array([0, 1]), 2, NAN, SeedSpec(0)), "concentration must be positive"),
 ], ids=["AggregatorSpec.eps", "AttackSpec.gamma_init", "AttackSpec.tau", "TrainerConfig.clip_norm",
+        "TrainerConfig.learning_rate", "TrainerConfig.momentum", "TrainerConfig.weight_decay",
         "DataConfig.beta", "DataConfig.r_sep", "DataConfig.noise", "ExperimentConfig.init_scale",
         "dirichlet_partition.beta"])
 def test_nan_fails_every_float_bound(build, message):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl.aggregators import AggregatorSpec, aggregate
-from gasfl.core import SeedSpec
-from gasfl.gas import (_BLOCK_BYTES, GasConfig, KnownF, Ratio, SelectionResult, gas_aggregate,
+from gasfl.aggregators import PAIRWISE_KINDS, AggregatorSpec, aggregate
+from gasfl.core import SeedSpec, make_partition
+from gasfl.gas import (GasConfig, KnownF, Ratio, SelectionResult, _group_blocks, gas_aggregate,
                        group_scores, select_clients)
 
 ALL_BASES = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
@@ -159,12 +159,18 @@ def _assert_matches_per_group_path(x, cfg, f, rnd):
     assert np.array_equal(agg, x[sel.selected].mean(axis=0))
 
 
+def _block_shapes(n, d, p, base):
+    """(size, groups) of each block `gas_aggregate` scores; any partition gives the same."""
+    part = make_partition(d, p, SeedSpec(0))
+    return [cols.shape[::-1] for _, cols in _group_blocks(part, n, AggregatorSpec(base))]
+
+
 def test_gas_scores_match_per_group_path():
     # the blocked scoring equals scoring group by group with group_scores
     n, d, f, rnd = 12, 30, 2, 2
     x = _rand(10, n, d)
-    # gas_aggregate always transposes its input: a column-major copy and a
-    # strided view must score like the C-ordered matrix
+    # gas_aggregate copies any other layout into C order before it gathers: a
+    # column-major copy and a strided view must score like the C-ordered matrix
     strided = np.repeat(x, 2, axis=1)[:, ::2]
     for layout in (x, np.asfortranarray(x), strided):
         for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
@@ -177,12 +183,21 @@ def test_gas_scores_match_per_group_path():
     # a wide_server-like shape: 10007 = 100 * 100 + 7, so 7 groups of 101
     # and 93 groups of 100 coordinates, and both sizes end in a partial block
     n, d, p = 50, 10007, 100
-    for size, count in ((101, 7), (100, 93)):
-        per_block = max(1, _BLOCK_BYTES // (size * n * 8))
-        assert per_block < count and count % per_block, (size, per_block)
     x = _rand(15, n, d)
     for base in ALL_BASES:
+        shapes = _block_shapes(n, d, p, base)
+        for size, count in ((101, 7), (100, 93)):
+            blocks = [groups for s, groups in shapes if s == size]
+            assert len(blocks) > 1 and blocks[-1] < blocks[0] and sum(blocks) == count, (base, size)
         _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(10)), 10, 4)
+    # the desk shape, one coordinate per group: a pairwise base scores its
+    # groups in several blocks, bounded by their (n, n) matrices
+    n, d = 50, 650
+    x = _rand(16, n, d)
+    for base in ALL_BASES:
+        assert (len(_block_shapes(n, d, d, base)) > 1) == (base in PAIRWISE_KINDS), base
+        if base in ("multi_krum", "dnc"):
+            _assert_matches_per_group_path(x, _cfg(p=d, base=base, selection=KnownF(10)), 10, 1)
 
 
 def test_gas_permutation_equivariance_fixed_partition():
