@@ -166,7 +166,7 @@ def _trimmed_mean(stack: np.ndarray, f: int) -> np.ndarray:
 
 # the rules whose kernels build an (n, n) matrix for every matrix of a
 # stack: the Krum and Bulyan distances (`pairwise_sq_dists`) and DnC's Gram
-PAIRWISE_KINDS = ("multi_krum", "bulyan", "dnc")
+_PAIRWISE_KINDS = ("multi_krum", "bulyan", "dnc")
 
 
 def _krum_scores(sq: np.ndarray, f: int) -> np.ndarray:
@@ -452,6 +452,6 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
 
 
 __all__ = [
-    "AggregatorSpec", "ResilienceReport", "KINDS", "PAIRWISE_KINDS",
+    "AggregatorSpec", "ResilienceReport", "KINDS",
     "aggregate", "aggregate_with_selection", "bucketing_wrap", "estimate_resilience", "max_f",
 ]

@@ -8,14 +8,15 @@ colluding outliers visible, while averaging the kept clients preserves all
 the honest signal.
 
 Group sizes differ by at most one, so the groups are walked in blocks of
-equal-size groups. Each block is read straight from the uploads, along their
-rows, and laid out as one C-ordered (size, groups, n) buffer; no copy of the
-whole matrix is made for a C-ordered input. A block holds at most
-`_BLOCK_BYTES` of gathered rows and, when the base rule builds an (n, n)
-matrix per group, at most `_BLOCK_BYTES` of those matrices too, so the
-working memory beyond the input is one bounded block whatever d, p and the
-base are. The price is locality: each gathered coordinate reads its own
-cache line of every upload row, where a transposed copy would stream them.
+equal-size groups, each laid out as one C-ordered (size, groups, n) buffer.
+A block holds at most `_BLOCK_BYTES` of gathered rows and, when the base
+rule builds an (n, n) matrix per group, at most `_BLOCK_BYTES` of those
+matrices too. C-ordered uploads of at most `_GATHER_BYTES` are read straight
+along their rows, so the working memory beyond them is one bounded block
+whatever d, p and the base are. Larger or other-layout uploads are first
+transposed into a C-ordered (d, n) copy, streamed in one pass, whose rows
+each block reads whole: past the caches, a gather along the upload rows
+would load a cache line of every row per coordinate.
 Whatever the base rule, it runs once per block, through `aggregate`, on the
 buffer's (groups, n, size) view, and gives each group bit for bit the
 aggregate it gives that group alone, so block boundaries never change a
@@ -31,12 +32,20 @@ from typing import Union
 
 import numpy as np
 
-from .aggregators import PAIRWISE_KINDS, AggregatorSpec, _check_f, aggregate
+from .aggregators import _PAIRWISE_KINDS, AggregatorSpec, _check_f, aggregate
 from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
 
 # Bytes per block of groups, for its gathered client rows and for the
 # (groups, n, n) stack a pairwise base builds from them.
 _BLOCK_BYTES = 1 << 18
+
+# C-ordered uploads up to this many bytes are gathered from along their rows,
+# with no copy of the whole matrix. Past the caches that gather loads a cache
+# line of every upload row per coordinate: on a 2-vCPU Xeon (2 MiB L2 per
+# core) it took about 2.3x as long as transposing once and reading whole rows
+# at 4 and 8 MB of uploads, and about 3x at 15 and 40 MB, where GAS(median,
+# p=100) as a whole ran 1.8x as long at n = 50, d = 1e5.
+_GATHER_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
     """The groups in blocks of at most `_BLOCK_BYTES` each, in group order.
 
     A block's gathered (n,) rows stay within the budget, and so do the
-    (n, n) matrices, one per group, of a base in `PAIRWISE_KINDS`. Yields
+    (n, n) matrices, one per group, of a base in `_PAIRWISE_KINDS`. Yields
     (first, cols): `cols` is a (groups, size) index array whose rows are
     groups first .. first + groups - 1. Group sizes differ by at most one,
     the groups of the larger size come first, and no block mixes sizes.
@@ -139,7 +148,7 @@ def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
     first = 0
     for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
         groups = cols.reshape(-1, size)
-        width = max(size, n) if base.kind in PAIRWISE_KINDS else size
+        width = max(size, n) if base.kind in _PAIRWISE_KINDS else size
         step = max(1, _BLOCK_BYTES // (width * n * 8))
         for start in range(0, groups.shape[0], step):
             yield first + start, groups[start:start + step]
@@ -154,17 +163,19 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     `config.partition_policy`) from seeds derived off `config.seed`, so the
     call is a pure function of (config, gradients, round). The groups are
     walked in blocks of equal-size groups (`_group_blocks`), each gathered
-    once from the uploads into a C-ordered (size, groups, n) buffer;
-    uploads in another layout are first copied into C order. The base rule
-    runs once per block on the buffer's (groups, n, size) view; group q's
-    seed, which only DnC draws from, is the round seed's child ("group", q).
+    once into a C-ordered (size, groups, n) buffer: along the upload rows
+    when they are C-ordered and at most `_GATHER_BYTES`, else from the rows
+    of a C-ordered (d, n) transposed copy, which a column-major input
+    already is. The base rule runs once per block on the buffer's
+    (groups, n, size) view; group q's seed, which only DnC draws from, is
+    the round seed's child ("group", q).
     Each block's scores are then taken in place and reduced over its
     leading axis, so every group norm adds its coordinates one at a time in
     ascending order, as the row norms of the column-major `x[:, subset]` in
     `group_scores` do; a norm past the float range is inf. Totals are summed
     in ascending group order.
     """
-    x = np.ascontiguousarray(as_gradient_matrix(gradients))  # else np.take copies it per block
+    x = as_gradient_matrix(gradients)
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 clients, got n={n}")
@@ -177,11 +188,15 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         part_seed = config.seed.child("fixed_partition")
     partition = make_partition(d, min(config.p, d), part_seed)
 
+    along_rows = x.flags.c_contiguous and x.nbytes <= _GATHER_BYTES
+    xt = None if along_rows else np.ascontiguousarray(x.T)
     round_seed = config.seed.child("round", round)
     scores = np.empty((partition.p, n))
     for first, cols in _group_blocks(partition, n, config.base):
-        # read along each upload row, then lay out C-ordered as (size, groups, n)
-        block = np.take(x, cols, axis=1).T.copy()
+        if along_rows:  # read along each upload row, then lay out as (size, groups, n)
+            block = np.take(x, cols, axis=1).T.copy()
+        else:
+            block = np.take(xt, cols.T, axis=0)
         groups = range(first, first + cols.shape[0])
         center = aggregate(config.base, block.transpose(1, 2, 0), base_f,
                            seed=(round_seed.child("group", q) for q in groups))

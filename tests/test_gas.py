@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl.aggregators import PAIRWISE_KINDS, AggregatorSpec, aggregate
+from gasfl import gas
+from gasfl.aggregators import _PAIRWISE_KINDS, AggregatorSpec, aggregate
 from gasfl.core import SeedSpec, make_partition
 from gasfl.gas import (GasConfig, KnownF, Ratio, SelectionResult, _group_blocks, gas_aggregate,
                        group_scores, select_clients)
@@ -165,12 +166,13 @@ def _block_shapes(n, d, p, base):
     return [cols.shape[::-1] for _, cols in _group_blocks(part, n, AggregatorSpec(base))]
 
 
-def test_gas_scores_match_per_group_path():
+def _check_blocked_scoring():
     # the blocked scoring equals scoring group by group with group_scores
     n, d, f, rnd = 12, 30, 2, 2
     x = _rand(10, n, d)
-    # gas_aggregate copies any other layout into C order before it gathers: a
-    # column-major copy and a strided view must score like the C-ordered matrix
+    # gas_aggregate reads a small C-ordered matrix along its rows and any
+    # other layout through a transposed copy: a column-major copy and a
+    # strided view must score like the C-ordered matrix
     strided = np.repeat(x, 2, axis=1)[:, ::2]
     for layout in (x, np.asfortranarray(x), strided):
         for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
@@ -195,9 +197,19 @@ def test_gas_scores_match_per_group_path():
     n, d = 50, 650
     x = _rand(16, n, d)
     for base in ALL_BASES:
-        assert (len(_block_shapes(n, d, d, base)) > 1) == (base in PAIRWISE_KINDS), base
-        if base in ("multi_krum", "dnc"):
+        assert (len(_block_shapes(n, d, d, base)) > 1) == (base in _PAIRWISE_KINDS), base
+        if base in _PAIRWISE_KINDS:
             _assert_matches_per_group_path(x, _cfg(p=d, base=base, selection=KnownF(10)), 10, 1)
+
+
+def test_gas_scores_match_per_group_path():
+    _check_blocked_scoring()
+
+
+def test_gas_transposed_gather_matches_per_group_path(monkeypatch):
+    # uploads past gas._GATHER_BYTES are gathered from a transposed copy
+    monkeypatch.setattr(gas, "_GATHER_BYTES", 0)
+    _check_blocked_scoring()
 
 
 def test_gas_permutation_equivariance_fixed_partition():
