@@ -103,8 +103,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     if axis == "p":
         return dataclasses.replace(cfg, defense=dataclasses.replace(cfg.defense, p=_as_int(axis, value)))
     if axis == "delta":
-        return dataclasses.replace(cfg, defense=dataclasses.replace(
-            cfg.defense, selection_mode="ratio", delta=value))
+        return dataclasses.replace(cfg, defense=dataclasses.replace(cfg.defense, delta=value))
     if axis == "beta":
         return dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, beta=value))
     if axis == "f":

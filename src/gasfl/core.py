@@ -61,50 +61,52 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class IndexPartition:
-    """Disjoint cover of {0..d-1} by p index groups, stored flat.
+    """Disjoint cover of {0..d-1}, d = `order.size`, by p index groups.
 
     `order` is a permutation of 0..d-1 listed group by group, each group
-    ascending; group q is `order[offsets[q]:offsets[q + 1]]`. The p + 1
-    `offsets` start at 0 and end at d, and every group holds floor(d/p) or
-    ceil(d/p) indices. Both arrays are stored as read-only copies.
+    ascending, and stored as a read-only copy. The layout is fixed: with
+    d = p * size + r, the first r groups hold size + 1 indices and the other
+    p - r hold size. `groups` reshapes `order` along it into at most two
+    read-only (count, size) views, larger groups first, whose rows are the
+    groups in order; every reader of the layout goes through them.
     """
 
     order: np.ndarray
-    offsets: np.ndarray
-    d: int
     p: int
 
     def __post_init__(self):
-        if not 1 <= self.p <= self.d:
-            raise ValueError(f"group count must lie in [1, d={self.d}], got p={self.p}")
         order = np.array(self.order, dtype=np.int64)
-        offsets = np.array(self.offsets, dtype=np.int64)
-        if order.shape != (self.d,):
-            raise ValueError(f"order has shape {order.shape}, expected ({self.d},)")
-        if order.min() < 0 or order.max() >= self.d:
-            raise ValueError(f"order has an index outside [0, {self.d})")
-        if not (np.bincount(order, minlength=self.d) == 1).all():
+        if order.ndim != 1:
+            raise ValueError(f"order must be 1-D, got shape {order.shape}")
+        d = order.size
+        if not 1 <= self.p <= d:
+            raise ValueError(f"group count must lie in [1, d={d}], got p={self.p}")
+        if order.min() < 0 or order.max() >= d:
+            raise ValueError(f"order has an index outside [0, {d})")
+        if not (np.bincount(order, minlength=d) == 1).all():
             raise ValueError("order is not a permutation of {0..d-1}")
-        if offsets.shape != (self.p + 1,) or offsets[0] != 0 or offsets[-1] != self.d:
-            raise ValueError(f"offsets must be p+1={self.p + 1} boundaries from 0 to d={self.d}")
-        lo, hi = self.d // self.p, -(-self.d // self.p)
-        sizes = np.diff(offsets)
-        if sizes.min() < lo or sizes.max() > hi:
-            raise ValueError(f"group sizes {sizes.min()}..{sizes.max()} outside [{lo}, {hi}]")
-        rising = np.diff(order) > 0
-        rising[offsets[1:-1] - 1] = True  # a group may start below its predecessor's end
-        if not rising.all():
+        if not all((np.diff(g, axis=1) > 0).all() for g in _group_views(order, self.p)):
             raise ValueError("indices within a group are not ascending")
         order.flags.writeable = False
-        offsets.flags.writeable = False
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """The groups as rows of (count, size) views into `order`, larger groups first."""
+        return _group_views(self.order, self.p)
 
     @property
     def subsets(self) -> tuple[np.ndarray, ...]:
         """The p groups, as read-only views into `order`."""
-        bounds = self.offsets.tolist()
-        return tuple(self.order[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+        return tuple(row for g in self.groups for row in g)
+
+
+def _group_views(order: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """`order` reshaped into the `IndexPartition` layout of p groups, empty views left out."""
+    size, larger = divmod(order.size, p)
+    split = larger * (size + 1)
+    views = (order[:split].reshape(larger, size + 1), order[split:].reshape(p - larger, size))
+    return tuple(g for g in views if g.size)
 
 
 def as_gradient(values) -> np.ndarray:
@@ -144,11 +146,23 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     true zero slightly negative, so the result is clamped at 0 and its
     diagonal is exactly 0. The rows are centered in a C-ordered copy, so a
     matrix gets the same result alone or in a stack, whatever the input's
-    layout.
+    layout. A finite matrix whose mean overflows, as when rows sit near the
+    float maximum, is divided by the power of two of its largest entry
+    before centering, and its distances are scaled back, saturating at inf;
+    other matrices keep their bits.
     """
     c = np.array(points, dtype=np.float64, order="C")
+    with np.errstate(over="ignore"):
+        mean = c.mean(axis=-2, keepdims=True)
+    if np.isfinite(mean).all():
+        c -= mean
+        return centered_sq_dists(c)
+    shift = _overflow_shift(c, ~np.isfinite(mean).all(axis=(-2, -1)))
+    c = np.ldexp(c, -shift)
     c -= c.mean(axis=-2, keepdims=True)
-    return centered_sq_dists(c)
+    dists = centered_sq_dists(c)
+    with np.errstate(over="ignore"):
+        return np.ldexp(dists, 2 * shift, out=dists)
 
 
 def centered_sq_dists(c: np.ndarray) -> np.ndarray:
@@ -167,7 +181,7 @@ def centered_sq_dists(c: np.ndarray) -> np.ndarray:
     sq = np.diagonal(gram, axis1=-2, axis2=-1)
     shift = None
     if (sq >= _GRAM_LIMIT).any():
-        shift = _overflow_shift(c, sq)
+        shift = _overflow_shift(c, (sq >= _GRAM_LIMIT).any(axis=-1))
         c = np.ldexp(c, -shift)
         gram = c @ np.swapaxes(c, -1, -2)
         sq = np.diagonal(gram, axis1=-2, axis2=-1)
@@ -183,16 +197,15 @@ def centered_sq_dists(c: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _overflow_shift(c: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _overflow_shift(c: np.ndarray, huge: np.ndarray) -> np.ndarray:
     """Per matrix of `c`, the power of two its entries are divided by.
 
-    It is that of the largest entry for a matrix with a squared row norm of
-    at least `_GRAM_LIMIT`, and 0 for any other matrix, as for one holding a
-    non-finite entry, which no scaling makes finite.
+    It is that of the largest entry for a matrix flagged in `huge`, and 0
+    for any other matrix, as for one holding a non-finite entry, which no
+    scaling makes finite.
     """
     peak = np.abs(c).max(axis=(-2, -1), keepdims=True)
-    huge = (sq >= _GRAM_LIMIT).any(axis=-1)[..., None, None] & np.isfinite(peak)
-    return np.where(huge, np.frexp(peak)[1], 0)
+    return np.where(huge[..., None, None] & np.isfinite(peak), np.frexp(peak)[1], 0)
 
 
 # Entries per finiteness check in `check_server_ingress`: its bool array
@@ -221,10 +234,9 @@ def check_server_ingress(matrix: np.ndarray) -> None:
 def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
     """Uniformly random partition of {0..d-1} into p sorted index groups.
 
-    The indices are shuffled with the seeded stream and cut into p
-    contiguous blocks; the first (d mod p) blocks get ceil(d/p) indices and
-    the rest floor(d/p). Each block is then sorted in place in one pass, by
-    sorting the indices offset by block * d. p > d is clamped to p = d.
+    The indices are shuffled with the seeded stream and cut into the
+    `IndexPartition` layout, and each group is sorted in place. p > d is
+    clamped to p = d.
     """
     if d <= 0:
         raise ValueError("empty dimension")
@@ -233,9 +245,6 @@ def make_partition(d: int, p: int, seed: SeedSpec) -> IndexPartition:
     p = min(p, d)
     order = np.arange(d)
     seed.generator().shuffle(order)
-    sizes = np.full(p, d // p)
-    sizes[: d % p] += 1
-    shift = np.repeat(np.arange(p) * d, sizes)
-    order = np.sort(order + shift) - shift
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return IndexPartition(order=order, offsets=offsets, d=d, p=p)
+    for g in _group_views(order, p):
+        g.sort(axis=1)
+    return IndexPartition(order=order, p=p)

@@ -7,8 +7,8 @@ clients, and returns their plain average. Low-dimensional group scoring keeps
 colluding outliers visible, while averaging the kept clients preserves all
 the honest signal.
 
-Group sizes differ by at most one, so the groups are walked in blocks of
-equal-size groups, each laid out as one C-ordered (size, groups, n) buffer.
+The groups are walked in blocks of equal-size groups cut from
+`IndexPartition.groups`, each laid out as one C-ordered (size, groups, n) buffer.
 A block holds at most `_BLOCK_BYTES` of gathered rows and, when the base
 rule builds an (n, n) matrix per group, at most `_BLOCK_BYTES` of those
 matrices too. C-ordered uploads of at most `_GATHER_BYTES` are read straight
@@ -140,14 +140,12 @@ def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
     A block's gathered (n,) rows stay within the budget, and so do the
     (n, n) matrices, one per group, of a base in `_PAIRWISE_KINDS`. Yields
     (first, cols): `cols` is a (groups, size) index array whose rows are
-    groups first .. first + groups - 1. Group sizes differ by at most one,
-    the groups of the larger size come first, and no block mixes sizes.
+    groups first .. first + groups - 1, cut from one of `partition.groups`,
+    so no block mixes sizes.
     """
-    lo = partition.d // partition.p
-    split = (partition.d - lo * partition.p) * (lo + 1)
     first = 0
-    for cols, size in ((partition.order[:split], lo + 1), (partition.order[split:], lo)):
-        groups = cols.reshape(-1, size)
+    for groups in partition.groups:
+        size = groups.shape[1]
         width = max(size, n) if base.kind in _PAIRWISE_KINDS else size
         step = max(1, _BLOCK_BYTES // (width * n * 8))
         for start in range(0, groups.shape[0], step):
@@ -186,7 +184,7 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         part_seed = config.seed.child("partition", round)
     else:
         part_seed = config.seed.child("fixed_partition")
-    partition = make_partition(d, min(config.p, d), part_seed)
+    partition = make_partition(d, config.p, part_seed)
 
     along_rows = x.flags.c_contiguous and x.nbytes <= _GATHER_BYTES
     xt = None if along_rows else np.ascontiguousarray(x.T)

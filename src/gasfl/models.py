@@ -77,8 +77,8 @@ class Model:
         """Analytic gradient of the mean cross-entropy loss at w."""
         n = features.shape[0]
         if self.hidden is None:
-            weights, _ = self._unpack(w)
-            probs = _softmax(features @ weights.T + _bias_of(self, w))
+            weights, bias = self._unpack(w)
+            probs = _softmax(features @ weights.T + bias)
             probs[np.arange(n), labels] -= 1.0
             probs /= n
             return np.concatenate([(probs.T @ features).ravel(), probs.sum(axis=0)])
@@ -183,10 +183,6 @@ def _loss_slope(probs: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> No
     k, rows, _ = probs.shape
     probs[np.arange(k)[:, None], np.arange(rows), labels] -= 1.0
     probs /= counts[:, None, None]
-
-
-def _bias_of(model: Model, w: np.ndarray) -> np.ndarray:
-    return w[model.n_classes * model.n_features :]
 
 
 def finite_difference_grad(model: Model, w: np.ndarray, features: np.ndarray,

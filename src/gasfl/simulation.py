@@ -106,24 +106,21 @@ class PlainDefense:
 
 @dataclass(frozen=True)
 class GasDefense:
-    """Split-gradient defense; selection either uses the true Byzantine count
-    of the round ("known_f") or drops a fixed fraction delta ("ratio")."""
+    """Split-gradient defense. With `delta` None the server knows each round's
+    Byzantine count f and keeps n - f clients; otherwise f is unknown to it
+    and it drops ceil(delta * n)."""
 
     base: AggregatorSpec
     p: int
-    selection_mode: str = "known_f"
-    delta: float = 0.1
+    delta: float | None = None
     partition_policy: str = "per_round"
 
     def __post_init__(self):
-        if self.selection_mode not in ("known_f", "ratio"):
-            raise ValueError(f"selection_mode must be 'known_f' or 'ratio', got {self.selection_mode!r}")
         self.gas_config(0, SeedSpec(0))  # runs the p, delta and partition_policy checks
 
     def gas_config(self, f_round: int, seed: SeedSpec) -> gas_mod.GasConfig:
-        """The round's GasConfig, keeping n - f_round clients in known_f mode."""
-        ratio = gas_mod.Ratio(self.delta)
-        selection = gas_mod.KnownF(f_round) if self.selection_mode == "known_f" else ratio
+        """The round's GasConfig, keeping n - f_round clients when delta is None."""
+        selection = gas_mod.KnownF(f_round) if self.delta is None else gas_mod.Ratio(self.delta)
         return gas_mod.GasConfig(p=self.p, base=self.base, selection=selection, seed=seed,
                                  partition_policy=self.partition_policy)
 
@@ -186,7 +183,7 @@ class ExperimentConfig:
             field, f, s = "n_byzantine", self.n_byzantine, None
             if isinstance(self.defense, BucketedDefense):
                 field, s = "defense.s", self.defense.s
-            elif isinstance(self.defense, GasDefense) and self.defense.selection_mode == "ratio":
+            elif isinstance(self.defense, GasDefense) and self.defense.delta is not None:
                 field = "defense.delta"
                 f = gas_mod._resolve_counts(gas_mod.Ratio(self.defense.delta), self.n_clients)[1]
             try:

@@ -175,9 +175,9 @@ def desk_runs():
     }
     results["a7_elapsed"] = time.perf_counter() - started
     results["gas_delta_01"] = desk(lie, GasDefense(AggregatorSpec("median"), p=650,
-                                                   selection_mode="ratio", delta=0.1))
+                                                   delta=0.1))
     results["gas_delta_03"] = desk(lie, GasDefense(AggregatorSpec("median"), p=650,
-                                                   selection_mode="ratio", delta=0.3))
+                                                   delta=0.3))
     return results
 
 

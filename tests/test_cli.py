@@ -7,6 +7,8 @@ from gasfl.aggregators import KINDS as AGR_KINDS
 from gasfl.attacks import KINDS as ATTACK_KINDS
 from gasfl.cli import main
 from gasfl.config import ConfigError, emit_config, emit_json, manifest, parse_config
+from gasfl.core import SeedSpec
+from gasfl.gas import KnownF, Ratio
 
 SMALL_CONFIG = {
     "experiment": {"n_clients": 6, "n_byzantine": 1, "rounds": 2,
@@ -17,8 +19,7 @@ SMALL_CONFIG = {
     "trainer": {"local_epochs": 1, "batch_size": 64, "learning_rate": 0.1,
                 "momentum": 0.5, "weight_decay": 0.0001, "clip_norm": 2.0},
     "attack": {"kind": "lie", "z": 1.5},
-    "defense": {"kind": "gas", "base": {"kind": "median"}, "p": 4,
-                "selection_mode": "known_f", "delta": 0.1,
+    "defense": {"kind": "gas", "base": {"kind": "median"}, "p": 4, "delta": None,
                 "partition_policy": "per_round"},
 }
 
@@ -54,6 +55,13 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
 
 def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_gas_delta_sets_selection():
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    assert parse_config(json.dumps(payload)).defense.gas_config(1, SeedSpec(0)).selection == KnownF(1)
+    payload["defense"]["delta"] = 0.3
+    assert parse_config(json.dumps(payload)).defense.gas_config(1, SeedSpec(0)).selection == Ratio(0.3)
 
 
 @pytest.mark.parametrize("path, value, needle", [
@@ -100,6 +108,8 @@ def test_run_missing_config_exits_2(tmp_path):
     ("trainer.learning_rate", -0.1, "trainer.learning_rate: learning_rate "),
     ("trainer.momentum", 1.0, "trainer.momentum: momentum "),
     ("trainer.weight_decay", -1e-4, "trainer.weight_decay: weight_decay "),
+    # gas selection is set by delta alone; the former switch is no field
+    ("defense.selection_mode", "ratio", "defense.selection_mode: unknown field"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))
@@ -110,7 +120,7 @@ def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     elif path == "experiment.n_byzantine":
         payload["defense"] = {"kind": "plain", "base": {"kind": "bulyan"}}
     elif (path, value) == ("defense.delta", 0.3):
-        payload["defense"].update(base={"kind": "bulyan"}, selection_mode="ratio")
+        payload["defense"]["base"] = {"kind": "bulyan"}
     *sections, key = path.split(".")
     target = payload
     for section in sections:
@@ -130,8 +140,8 @@ def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
         "experiment.n_clients": 9, "experiment.n_byzantine": 4,
         "experiment.client_sample_ratio": 0.67, "defense.kind": "bucketing", "defense.s": 3})
     payload = json.loads(cfg.read_text())
-    payload["defense"].pop("p"), payload["defense"].pop("selection_mode")
-    payload["defense"].pop("delta"), payload["defense"].pop("partition_policy")
+    for key in ["p", "delta", "partition_policy"]:
+        payload["defense"].pop(key)
     cfg.write_text(json.dumps(payload))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "round" in capsys.readouterr().err
@@ -180,7 +190,7 @@ def test_sweep_p_and_beta_and_n(tmp_path):
 def test_sweep_axis_defense_mismatch_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"defense.kind": "plain"})
     payload = json.loads(cfg.read_text())
-    for key in ["p", "selection_mode", "delta", "partition_policy"]:
+    for key in ["p", "delta", "partition_policy"]:
         payload["defense"].pop(key)
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg), "--axis", "delta",
@@ -322,11 +332,10 @@ _MINIMAL_SECTIONS = {
       "kind": "median",
       "niters": 1
     },
-    "delta": 0.1,
+    "delta": null,
     "kind": "gas",
     "p": 650,
-    "partition_policy": "per_round",
-    "selection_mode": "known_f"
+    "partition_policy": "per_round"
   }''',
     "experiment": '''  "experiment": {
     "client_sample_ratio": 1.0,
@@ -386,7 +395,7 @@ def test_emit_config_pinned_bytes(payload, expected):
 
 _FLOAT_FIELDS = {"eps", "c", "delta", "z", "gamma_init", "tau", "epsilon", "clip_norm"}
 _DEFENSE_FIELDS = {"plain": {}, "bucketing": {"s": 2},
-                   "gas": {"p": 4, "selection_mode": "ratio", "delta": 0.125, "partition_policy": "fixed"}}
+                   "gas": {"p": 4, "delta": 0.125, "partition_policy": "fixed"}}
 _ROUNDTRIP_CASES = [
     *(pytest.param(("defense",), {"kind": kind, **fields, "base": {
         "kind": base, "iters": 4, "eps": 1, "c": 3, "niters": 2, "b": 7}}, id=f"{kind}-{base}")

@@ -40,15 +40,16 @@ def test_partition_clamps_p_to_d():
 
 def test_partition_invariants_random_triples():
     # disjointness, cover, and size bounds across a large random sample, read
-    # off the flat order and offsets the groups are slices of
+    # off the flat order and the group views reshaped from it
     rng = np.random.default_rng(7)
     for _ in range(10_000):
         d = int(rng.integers(1, 10_001))
         p = int(rng.integers(1, d + 1))
         part = make_partition(d, p, SeedSpec(int(rng.integers(2**32))))
-        sizes = np.diff(part.offsets)
-        assert sizes.min() >= d // p and sizes.max() <= -(-d // p)
-        assert part.offsets[0] == 0 and part.offsets[-1] == d
+        (counts, sizes) = zip(*(g.shape for g in part.groups))
+        assert sum(counts) == p and np.dot(counts, sizes) == d
+        assert list(sizes) == sorted(set(sizes), reverse=True)  # larger groups first
+        assert sizes[-1] >= d // p and sizes[0] <= -(-d // p)
         assert np.array_equal(np.sort(part.order), np.arange(d))
 
 
@@ -64,35 +65,34 @@ def test_partition_pinned_example():
     # groups as the earlier per-chunk np.sort(np.array_split(shuffled, p)) produced them
     part = make_partition(10, 4, SeedSpec(2023))
     assert part.order.tolist() == [1, 6, 7, 0, 2, 9, 4, 8, 3, 5]
-    assert part.offsets.tolist() == [0, 3, 6, 8, 10]
+    assert [g.tolist() for g in part.groups] == [[[1, 6, 7], [0, 2, 9]], [[4, 8], [3, 5]]]
+    assert [g.shape for g in part.groups] == [(2, 3), (2, 2)]
     assert [s.tolist() for s in part.subsets] == [[1, 6, 7], [0, 2, 9], [4, 8], [3, 5]]
     assert not part.subsets[0].flags.writeable
+    assert not any(g.flags.writeable for g in part.groups)
 
 
-@pytest.mark.parametrize("order, offsets, match", [
-    ([0, 1, 1, 3, 4], [0, 3, 5], "permutation"),           # duplicated index
-    ([0, 1, 2, 3, 5], [0, 3, 5], "outside"),               # out-of-range index
-    ([-1, 1, 2, 3, 4], [0, 3, 5], "outside"),
-    ([0, 1, 2, 3, 4], [1, 3, 5], "offsets"),               # does not start at 0
-    ([0, 1, 2, 3, 4], [0, 3, 4], "offsets"),               # does not end at d
-    ([0, 1, 2, 3, 4], [0, 3], "offsets"),                  # wrong boundary count
-    ([0, 1, 2, 3, 4], [0, 4, 5], "group sizes"),           # sizes 4 and 1, outside [2, 3]
-    ([0, 1, 2, 3], [0, 3, 5], "shape"),                    # order shorter than d
-    ([1, 0, 2, 3, 4], [0, 3, 5], "ascending"),             # unsorted group
+@pytest.mark.parametrize("order, match", [
+    ([0, 1, 1, 3, 4], "permutation"),           # duplicated index
+    ([0, 1, 2, 3, 5], "outside"),               # out-of-range index
+    ([-1, 1, 2, 3, 4], "outside"),
+    ([[0, 1, 2], [3, 4, 5]], "1-D"),
+    ([1, 0, 2, 3, 4], "ascending"),             # unsorted group
+    ([3, 4, 0, 1, 2], "ascending"),             # groups [3, 4], [0, 1, 2]: smaller first
 ])
-def test_partition_field_validation(order, offsets, match):
+def test_partition_field_validation(order, match):
     with pytest.raises(ValueError, match=match):
-        IndexPartition(order=np.array(order), offsets=np.array(offsets), d=5, p=2)
+        IndexPartition(order=np.array(order), p=2)
 
 
 def test_partition_accepts_valid_fields_without_aliasing():
-    order, offsets = np.array([3, 4, 0, 1, 2]), np.array([0, 2, 5])
-    part = IndexPartition(order=order, offsets=offsets, d=5, p=2)
+    order = np.array([2, 3, 4, 0, 1])
+    part = IndexPartition(order=order, p=2)
     order[0] = 0
-    assert [s.tolist() for s in part.subsets] == [[3, 4], [0, 1, 2]]
+    assert [s.tolist() for s in part.subsets] == [[2, 3, 4], [0, 1]]
     for p in (0, 6):
         with pytest.raises(ValueError, match="group count"):
-            IndexPartition(order=order, offsets=offsets, d=5, p=p)
+            IndexPartition(order=order, p=p)
 
 
 def test_extract_then_reassemble_is_identity():

@@ -135,6 +135,24 @@ def test_huge_finite_row_is_dropped_without_nan(big):
         assert np.array_equal(agg, x[sel.selected].mean(axis=0)), base
 
 
+def test_rows_near_the_float_maximum_overflow_no_centering_mean():
+    # two rows at 1.7e308 sum past the float range, so the centering mean
+    # itself overflows unless the matrix is scaled down first
+    x = np.random.default_rng(0).standard_normal((12, 5))
+    x[:2] = 1.7e308
+    sq = pairwise_sq_dists(x)
+    assert not np.isnan(sq).any() and sq[0, 1] == 0 and np.isposinf(sq[:2, 2:]).all()
+    assert np.array_equal(_kept("multi_krum", x, 2), np.arange(2, 12))
+    assert np.isfinite(aggregate(AggregatorSpec("bulyan"), x, 2)).all()
+    cfg = GasConfig(p=2, base=AggregatorSpec("multi_krum"), selection=KnownF(2), seed=SeedSpec(0))
+    agg, _, sel, _ = gas_aggregate(cfg, x)
+    assert np.array_equal(sel.selected, np.arange(2, 12))
+    assert np.array_equal(agg, x[2:].mean(axis=0))
+    # an ordinary matrix stacked with it keeps the bits it has alone
+    y = np.random.default_rng(1).standard_normal((12, 5))
+    assert np.array_equal(pairwise_sq_dists(np.stack([x, y]))[1], pairwise_sq_dists(y))
+
+
 def test_bulyan_never_repicks_when_every_score_is_inf():
     # rows on distinct axes at the float maximum: every distance saturates to
     # inf, so every Krum score in every pool is inf and the pool order decides
