@@ -302,7 +302,13 @@ def _spectral_scores(centered: np.ndarray, seeds) -> np.ndarray:
     under `centered` of a seeded coordinate-space draw, which keeps the
     iterates equivariant to client reordering. A matrix whose iterate
     vanishes has no spectral direction, and all its scores are zero.
+
+    With one coordinate (k = 1) the direction is ±1 and each score is the
+    squared centered value: it is returned directly, with no draw, no
+    iteration, and no iterate to under- or overflow.
     """
+    if centered.shape[-1] == 1:
+        return centered[..., 0] * centered[..., 0]
     gram = centered @ centered.swapaxes(-1, -2)
     v0 = np.stack([s.generator().standard_normal(centered.shape[-1]) for s in seeds])
     flat = np.zeros(len(seeds), dtype=bool)

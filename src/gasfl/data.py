@@ -1,10 +1,16 @@
 """Synthetic classification data and non-IID client partitioning.
 
 The dataset is a Gaussian-blob classification task sized to run in seconds:
-class centers sit on a sphere, samples add isotropic noise. Client shards
-come from a per-class Dirichlet draw, the standard recipe for dialing data
-heterogeneity with a single concentration parameter. `ClientShards` keeps
-every shard in one pair of arrays, the layout batched local training reads.
+class centers sit on a sphere, samples add isotropic noise. Each split's
+features are drawn into the array returned and shifted in place, so set-up
+holds one copy of each split. Client shards come from a per-class Dirichlet
+draw, the standard recipe for dialing data heterogeneity with a single
+concentration parameter.
+
+A partition is one `(order, counts)` layout: `order` lists every client's
+sample indices back to back, each client's ascending, and client i owns the
+next `counts[i]` entries. `ClientShards` gathers the rows in that order once,
+into the one pair of arrays batched local training reads.
 """
 
 from __future__ import annotations
@@ -36,10 +42,21 @@ class SyntheticDataset:
 
 @dataclass(frozen=True)
 class DirichletPartition:
-    """Per-client sample index lists; disjoint and jointly covering the data."""
+    """Disjoint client index lists jointly covering the data, in one layout.
 
-    client_indices: tuple[np.ndarray, ...]
+    `order` holds client 0's indices, then client 1's, and so on, each
+    client's ascending; client i has `counts[i]` of them. Both arrays are
+    read-only.
+    """
+
+    order: np.ndarray
+    counts: np.ndarray
     beta: float
+
+    @property
+    def client_indices(self) -> tuple[np.ndarray, ...]:
+        """Each client's sample indices, as read-only views into `order`."""
+        return tuple(np.split(self.order, np.cumsum(self.counts)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -59,8 +76,17 @@ class ClientShards:
     @classmethod
     def from_shards(cls, shards: Sequence[tuple[np.ndarray, np.ndarray]]) -> "ClientShards":
         counts = np.array([labels.size for _, labels in shards], dtype=np.int64)
-        features = np.concatenate([f for f, _ in shards])
-        labels = np.concatenate([y for _, y in shards])
+        return cls._packed(np.concatenate([f for f, _ in shards]),
+                           np.concatenate([y for _, y in shards]), counts)
+
+    @classmethod
+    def from_partition(cls, features: np.ndarray, labels: np.ndarray,
+                       partition: DirichletPartition) -> "ClientShards":
+        """The rows of every client in `partition`, gathered in one pass."""
+        return cls._packed(features[partition.order], labels[partition.order], partition.counts)
+
+    @classmethod
+    def _packed(cls, features: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> "ClientShards":
         features.flags.writeable = labels.flags.writeable = False
         return cls(features=features, labels=labels, starts=np.cumsum(counts) - counts,
                    counts=counts)
@@ -141,9 +167,14 @@ def generate_synthetic(n_classes: int, dim: int, per_class: int, r_sep: float,
     centers *= r_sep / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-300)
 
     def draw(count: int, split: str) -> SyntheticDataset:
-        srng = seed.child(split).generator()
+        # the labels are class-major, so each class's rows are one block:
+        # scaling and shifting the draw in place gives centers[labels] +
+        # noise * draw bit for bit, with no second array of the split's size
         labels = np.repeat(np.arange(n_classes), count)
-        features = centers[labels] + noise * srng.standard_normal((labels.size, dim))
+        features = seed.child(split).generator().standard_normal((labels.size, dim))
+        features *= noise
+        blocks = features.reshape(n_classes, count, dim)  # a view, one block per class
+        blocks += centers[:, None, :]
         return SyntheticDataset(features=features, labels=labels, n_classes=n_classes,
                                 r_sep=r_sep, noise=noise)
 
@@ -156,27 +187,26 @@ def dirichlet_partition(labels: np.ndarray, n_clients: int, beta: float,
 
     For each class a proportion vector is drawn from Dir(beta); the class's
     shuffled indices are divided by largest-remainder rounding, so every
-    sample lands on exactly one client.
+    sample lands on exactly one client. Each sample is tagged with its
+    client, and one stable sort by client gives the `(order, counts)` layout.
     """
     if n_clients < 1:
         raise ValueError(f"need at least 1 client, got {n_clients}")
     if not beta > 0:
         raise ValueError(f"concentration must be positive, got beta={beta}")
     labels = np.asarray(labels)
-    shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+    owner = np.empty(labels.size, dtype=np.int64)
     for y in np.unique(labels):
         class_idx = np.flatnonzero(labels == y)
         rng = seed.child("class", int(y)).generator()
         rng.shuffle(class_idx)
         props = rng.dirichlet(np.full(n_clients, beta))
-        counts = _largest_remainder(props, class_idx.size)
-        start = 0
-        for i, cnt in enumerate(counts):
-            shards[i].append(class_idx[start : start + cnt])
-            start += cnt
-    client_indices = tuple(np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-                           for parts in shards)
-    return DirichletPartition(client_indices=client_indices, beta=beta)
+        owner[class_idx] = np.repeat(np.arange(n_clients), _largest_remainder(props, class_idx.size))
+    # a stable sort keeps each client's indices ascending
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=n_clients)
+    order.flags.writeable = counts.flags.writeable = False
+    return DirichletPartition(order=order, counts=counts, beta=beta)
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:

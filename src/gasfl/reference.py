@@ -134,6 +134,51 @@ def local_train_reference(model, w: np.ndarray, features: np.ndarray, labels: np
     return w - current
 
 
+def synthetic_reference(n_classes: int, dim: int, per_class: int, r_sep: float, noise: float,
+                        seed, test_per_class: int | None = None):
+    """Train and test (features, labels) pairs, each split as `centers[labels] + noise * draw`.
+
+    The seeded draws are those of `data.generate_synthetic`, in its order;
+    every array is built whole.
+    """
+    rng = seed.child("centers").generator()
+    centers = rng.standard_normal((n_classes, dim))
+    centers = centers * (r_sep / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-300))
+    splits = []
+    for split, count in (("train", per_class),
+                         ("test", per_class if test_per_class is None else test_per_class)):
+        labels = np.repeat(np.arange(n_classes), count)
+        draw = seed.child(split).generator().standard_normal((labels.size, dim))
+        splits.append((centers[labels] + noise * draw, labels))
+    return splits[0], splits[1]
+
+
+def dirichlet_shards_reference(labels: np.ndarray, n_clients: int, beta: float, seed) -> list[np.ndarray]:
+    """Each client's sample indices, ascending, as `data.dirichlet_partition` draws them.
+
+    Per class: shuffle the class's indices, draw Dir(beta) proportions, round
+    them to counts by largest remainders (leftovers to the largest
+    fractional parts, lower client first), and deal the shuffled indices out
+    in client order. Each client's parts are then joined and sorted.
+    """
+    parts: list[list[int]] = [[] for _ in range(n_clients)]
+    for y in sorted(set(labels.tolist())):
+        class_idx = np.flatnonzero(labels == y)
+        rng = seed.child("class", int(y)).generator()
+        rng.shuffle(class_idx)
+        props = rng.dirichlet(np.full(n_clients, beta))
+        raw = [float(v) * class_idx.size for v in props]
+        counts = [math.floor(r) for r in raw]
+        by_fraction = sorted(range(n_clients), key=lambda i: (-(raw[i] - counts[i]), i))
+        for i in by_fraction[: class_idx.size - sum(counts)]:
+            counts[i] += 1
+        start = 0
+        for i in range(n_clients):
+            parts[i].extend(class_idx[start : start + counts[i]].tolist())
+            start += counts[i]
+    return [np.array(sorted(p), dtype=np.int64) for p in parts]
+
+
 def bucketed_means_reference(points: np.ndarray, s: int, permutation: np.ndarray) -> np.ndarray:
     """Permute, chunk into ceil(n/s) consecutive buckets, average each."""
     n = points.shape[0]
@@ -152,5 +197,5 @@ __all__ = [
     "median_reference", "trimmed_mean_reference", "krum_scores_reference",
     "multi_krum_reference", "bulyan_selection_reference", "bulyan_reference",
     "geometric_median_objective", "top_direction_reference", "bucketed_means_reference",
-    "local_train_reference",
+    "local_train_reference", "synthetic_reference", "dirichlet_shards_reference",
 ]

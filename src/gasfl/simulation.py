@@ -313,8 +313,7 @@ def init_run(cfg: ExperimentConfig, seed: SeedSpec) -> RunState:
                                      dc.r_sep, dc.noise, seed.child("data"),
                                      test_per_class=dc.test_per_class)
     partition = dirichlet_partition(train.labels, cfg.n_clients, dc.beta, seed.child("shards"))
-    shards = ClientShards.from_shards([(train.features[idx], train.labels[idx])
-                                       for idx in partition.client_indices])
+    shards = ClientShards.from_partition(train.features, train.labels, partition)
     ids = seed.child("byz_identity").generator().permutation(cfg.n_clients)
     byz_ids = frozenset(int(i) for i in ids[: cfg.n_byzantine])
     model = Model(n_classes=dc.n_classes, n_features=dc.n_features, hidden=cfg.hidden)

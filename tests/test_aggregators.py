@@ -290,6 +290,24 @@ def test_dnc_power_iteration_matches_dense_eig():
         assert np.abs(scores - exact).max() / exact.max() <= 1e-6
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-100, 1.0, 1e100])
+def test_dnc_one_coordinate_scores_are_squared_centered_values(scale):
+    # at k = 1 the score is c * c: a column below ~1e-90 no longer underflows
+    # to all-zero scores, one above ~1e80 overflows nothing, a zero column
+    # scores 0
+    x = np.random.default_rng(3).standard_normal((9, 1)) * scale
+    x[2], x[6] = 40.0 * scale, -50.0 * scale
+    centered = x - x.mean(axis=0)
+    scores = _spectral_scores(np.stack([centered, 3.0 * centered]), [SeedSpec(0), SeedSpec(1)])
+    for g, column in enumerate((centered[:, 0], 3.0 * centered[:, 0])):
+        assert np.array_equal(scores[g], column * column)
+    if scale:
+        _, kept = aggregate_with_selection(AggregatorSpec("dnc", c=1.0), x, 2, seed=SeedSpec(0))
+        assert kept.tolist() == [0, 1, 3, 4, 5, 7, 8]
+    else:
+        assert not scores.any()
+
+
 def test_dnc_all_marked_is_error():
     x = _rand(14, 5, 3)
     with pytest.raises(ValueError, match="n > floor"):

@@ -9,7 +9,9 @@ from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, aggregate_with_
                                estimate_resilience, max_f)
 from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec, pairwise_sq_dists
+from gasfl.data import generate_synthetic
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
+from gasfl.simulation import ExperimentConfig, PlainDefense, init_run
 
 
 def _kept(kind, x, f):
@@ -251,3 +253,38 @@ def test_peak_memory_is_a_small_multiple_of_the_input(name):
     finally:
         tracemalloc.stop()
     assert peak <= bound * x.nbytes, f"{name} peaked at {peak / x.nbytes:.2f}x its input"
+
+
+# set-up holds one copy of each split --------------------------------------------
+
+DESK = ExperimentConfig(n_clients=N, n_byzantine=F, rounds=1, attack=AttackSpec("lie", z=1.5),
+                        defense=PlainDefense(AggregatorSpec("median")))
+
+
+def _desk_splits():
+    dc = DESK.data
+    return generate_synthetic(dc.n_classes, dc.n_features, dc.per_class, dc.r_sep, dc.noise,
+                              SeedSpec(0), test_per_class=dc.test_per_class)
+
+
+# name -> (call, bound on its tracemalloc peak as a multiple of what it leaves live)
+SETUP_MEMORY_CASES = {
+    # each split drawn into the array returned, then scaled and shifted in place
+    "generate_synthetic": (_desk_splits, 1.25),
+    # the shards gathered once from the train split, which is then dropped
+    "init_run": (lambda: init_run(DESK, SeedSpec(0)), 1.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_MEMORY_CASES))
+def test_setup_peak_memory_is_close_to_its_result(name):
+    call, bound = SETUP_MEMORY_CASES[name]
+    call()  # the first call imports what numpy loads lazily
+    tracemalloc.start()
+    try:
+        result = call()  # held while the totals are read, so `live` counts it
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    assert peak <= bound * live, f"{name} peaked at {peak / live:.2f}x its live result"

@@ -11,7 +11,8 @@ from gasfl.core import SeedSpec
 from gasfl.data import (ClientShards, SyntheticGradientModel, dirichlet_partition,
                         generate_synthetic)
 from gasfl.models import Model, finite_difference_grad
-from gasfl.reference import local_train_reference
+from gasfl.reference import (dirichlet_shards_reference, local_train_reference,
+                             synthetic_reference)
 from gasfl.simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
                               PlainDefense, TrainerConfig, deviation_metric, inclusion_metrics,
                               init_run, local_train, run_experiment, run_round, run_single)
@@ -86,6 +87,45 @@ def test_dirichlet_default_configuration_runs():
 def test_dirichlet_validation():
     with pytest.raises(ValueError, match="positive"):
         dirichlet_partition(np.array([0, 1]), 2, 0.0, SeedSpec(0))
+
+
+# set-up against its straight-line reference ----------------------------------
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, data", [
+    (1, SMALL_DATA),
+    (50, dataclasses.replace(SMALL_DATA, beta=0.05)),  # most shards empty
+    (8, dataclasses.replace(SMALL_DATA, noise=0.0)),
+    (8, dataclasses.replace(SMALL_DATA, per_class=1)),
+    (8, dataclasses.replace(SMALL_DATA, test_per_class=None)),
+    (8, dataclasses.replace(SMALL_DATA, beta=100.0)),
+], ids=["one_client", "empty_shards", "noise_0", "per_class_1", "test_per_class_none", "beta_100"])
+def test_setup_matches_straight_line_reference(n, data):
+    cfg = _small_cfg(n=n, f=0, data=data)
+    seed = SeedSpec(12)
+    args = (data.n_classes, data.n_features, data.per_class, data.r_sep, data.noise, seed.child("data"))
+    ref_train, ref_test = synthetic_reference(*args, test_per_class=data.test_per_class)
+    train, test = generate_synthetic(*args, test_per_class=data.test_per_class)
+    state = init_run(cfg, seed)
+    for split, (features, labels) in ((train, ref_train), (test, ref_test), (state.test, ref_test)):
+        assert _same_bits(split.features, features) and _same_bits(split.labels, labels)
+
+    indices = dirichlet_shards_reference(ref_train[1], n, data.beta, seed.child("shards"))
+    part = dirichlet_partition(train.labels, n, data.beta, seed.child("shards"))
+    assert len(part.client_indices) == n
+    assert all(_same_bits(got, want) for got, want in zip(part.client_indices, indices))
+    if data.beta == 0.05:
+        assert not all(idx.size for idx in indices)
+    counts = np.array([idx.size for idx in indices], dtype=np.int64)
+    shards = state.shards
+    assert _same_bits(shards.features, np.concatenate([ref_train[0][idx] for idx in indices]))
+    assert _same_bits(shards.labels, np.concatenate([ref_train[1][idx] for idx in indices]))
+    assert _same_bits(shards.counts, counts)
+    assert _same_bits(shards.starts, np.cumsum(counts) - counts)
+    assert not shards.features.flags.writeable and not shards.labels.flags.writeable
 
 
 NAN = float("nan")
