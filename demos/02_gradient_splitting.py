@@ -8,6 +8,11 @@ small colluders, so colluders slip into the kept set. Splitting into more
 groups re-weights the comparison: the colluders' offset shows up in every
 group while an honest client's deviation is concentrated in a few, so the
 summed identification scores pull them apart.
+
+A Byzantine client may also send an arbitrary finite value. The last part
+replaces one colluder with an upload of 1e160, whose squares alone pass the
+float range: the defense scales such uploads down by a power of two before
+scoring, so even a mean base ranks the huge upload last and drops it.
 Run with: python demos/02_gradient_splitting.py
 """
 
@@ -45,3 +50,14 @@ for p in [1, 4, 16, 64, 256]:
 print("\np=1 is a whole-vector distance filter: half the colluders survive it.")
 print("More groups expose the dense offset, and the kept-set average tracks")
 print("the honest mean more closely round over round.")
+
+huge = uploads.copy()
+huge[-1] = 1e160
+print("\nOne colluder uploads 1e160 in every coordinate:")
+for kind in ("mean", "geometric_median"):
+    cfg = GasConfig(p=16, base=AggregatorSpec(kind), selection=KnownF(f), seed=SeedSpec(2))
+    agg, table, sel, _ = gas_aggregate(cfg, huge)
+    kept = "kept" if n - 1 in sel.selected else "dropped"
+    print(f"  gas({kind}): the 1e160 upload is {kept}, "
+          f"aggregate norm {np.linalg.norm(agg):.3g}")
+    assert kept == "dropped" and np.isfinite(agg).all()

@@ -14,6 +14,7 @@ Each rule's kernel is a private function over the clients axis -2 of a
 stack, and gives every matrix of a stack bit for bit what it gives that
 matrix alone. `bucketing_wrap` checks its inner rule's bound at ceil(n/s)
 buckets; GAS, the config and the oracle read the same `max_f` table.
+`_apply` and `bucketing_wrap` hold the overflow guard (`core.scale_exponents`).
 
 All selection ties break toward the lower client index, and equal-value
 order statistics break toward the lower value, so outputs are deterministic.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists
+from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists, scale_exponents
 
 KINDS = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
@@ -349,8 +350,13 @@ def _apply(spec: AggregatorSpec, stack: np.ndarray, f: int, seed) -> tuple[np.nd
     Returns the (groups, k) aggregates and the ascending indices of the
     clients each matrix kept: a (groups, m) array, a list of arrays when DnC
     filtering over several rounds keeps unequal counts, or None for a rule
-    without a selection step.
+    without a selection step. A flagged matrix is aggregated scaled down;
+    scaling back cannot overflow, as every output lies in its inputs' box.
     """
+    shift = scale_exponents(stack)
+    if shift.any():
+        centers, chosen = _apply(spec, np.ldexp(stack, -shift), f, seed)
+        return np.ldexp(centers, shift[..., 0]), chosen
     if spec.kind == "mean":
         return stack.mean(axis=-2), None
     if spec.kind == "median":
@@ -417,6 +423,9 @@ def bucketing_wrap(spec: AggregatorSpec, gradients, f: int, s: int,
     if s < 1:
         raise ValueError(f"bucket size must be >= 1, got s={s}")
     _check_f(spec, n, f, s)
+    shift = scale_exponents(x)[0, 0]
+    if shift:  # the bucket means would overflow first
+        return np.ldexp(bucketing_wrap(spec, np.ldexp(x, -shift), f, s, seed), shift)
     n_buckets = -(-n // s)
     seed = seed if seed is not None else SeedSpec(0)
     perm = seed.child("bucketing").generator().permutation(n)

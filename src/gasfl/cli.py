@@ -39,12 +39,12 @@ def _write(path: Path, text: str) -> None:
 
 
 def _rounds_csv(all_records: list[list[RoundRecord]]) -> str:
-    lines = ["round,repeat,accuracy,deviation,honest_ratio,byz_count"]
+    lines = ["round,repeat,accuracy,deviation,honest_ratio,byz_count,f_excess"]
     for repeat, records in enumerate(all_records):
         for rec in records:
             lines.append(",".join([
                 str(rec.round), str(repeat), _fmt(rec.test_accuracy), _fmt(rec.deviation),
-                _fmt(rec.honest_inclusion_ratio), str(rec.byz_inclusion_count),
+                _fmt(rec.honest_inclusion_ratio), str(rec.byz_inclusion_count), str(rec.f_excess),
             ]))
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,10 @@ Gradients are plain 1-D float64 numpy arrays throughout the package; the
 helpers here validate shapes and finiteness at the boundaries where it
 matters. Randomness is never global: every consumer receives a SeedSpec and
 derives labeled child streams from it.
+
+The overflow policy lives here once: every defense's entry scales a matrix
+by the power of two `scale_exponents` gives it, so the distance kernels
+below only ever see entries under `SCALE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -131,9 +135,25 @@ def as_gradient_matrix(gradients) -> np.ndarray:
     return np.stack(rows)
 
 
-# Squared row norms below this keep sq_i + sq_j - 2 g_ij, and each of its
-# terms, inside the float range.
-_GRAM_LIMIT = 2.0 ** 1021
+# The peak |entry| a defense's kernels take. DnC's power iteration squares
+# Gram entries, and (2^200)^4 times any realistic n * d stays finite.
+SCALE_LIMIT = 2.0 ** 200
+
+
+def scale_exponents(x: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, k) matrix or (..., n, k) stack, the power of two to divide it by.
+
+    Ints of shape (..., 1, 1), for `np.ldexp`. A finite matrix whose peak
+    |entry| reaches `SCALE_LIMIT` gets the k that lands its peak just below
+    it, turning the fewest small entries subnormal; every other matrix,
+    including one holding NaN or inf, gets 0. The rules are positively
+    homogeneous, so a rule on `ldexp(x, -k)` scaled back by 2^k is the rule
+    on x. Per-matrix peaks are taken only if the whole-array max or min trips.
+    """
+    if -SCALE_LIMIT < x.min() and x.max() < SCALE_LIMIT:
+        return np.zeros(x.shape[:-2] + (1, 1), dtype=int)
+    peak = np.maximum(x.max(axis=(-2, -1), keepdims=True), -x.min(axis=(-2, -1), keepdims=True))
+    return np.where(np.isfinite(peak) & (peak >= SCALE_LIMIT), np.frexp(peak / SCALE_LIMIT)[1], 0)
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -146,23 +166,12 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     true zero slightly negative, so the result is clamped at 0 and its
     diagonal is exactly 0. The rows are centered in a C-ordered copy, so a
     matrix gets the same result alone or in a stack, whatever the input's
-    layout. A finite matrix whose mean overflows, as when rows sit near the
-    float maximum, is divided by the power of two of its largest entry
-    before centering, and its distances are scaled back, saturating at inf;
-    other matrices keep their bits.
+    layout. Entries must lie below `SCALE_LIMIT` in magnitude, as every
+    defense's entry ensures (`scale_exponents`); far larger ones overflow.
     """
     c = np.array(points, dtype=np.float64, order="C")
-    with np.errstate(over="ignore"):
-        mean = c.mean(axis=-2, keepdims=True)
-    if np.isfinite(mean).all():
-        c -= mean
-        return centered_sq_dists(c)
-    shift = _overflow_shift(c, ~np.isfinite(mean).all(axis=(-2, -1)))
-    c = np.ldexp(c, -shift)
     c -= c.mean(axis=-2, keepdims=True)
-    dists = centered_sq_dists(c)
-    with np.errstate(over="ignore"):
-        return np.ldexp(dists, 2 * shift, out=dists)
+    return centered_sq_dists(c)
 
 
 def centered_sq_dists(c: np.ndarray) -> np.ndarray:
@@ -170,42 +179,17 @@ def centered_sq_dists(c: np.ndarray) -> np.ndarray:
 
     A caller that holds the centered rows anyway saves the copy: for a
     C-ordered matrix x, passing `x - x.mean(axis=0)` gives exactly
-    `pairwise_sq_dists(x)`. A matrix whose squared row norms reach
-    `_GRAM_LIMIT` would overflow the Gram form into inf - inf = NaN. Such a
-    matrix is found from the Gram diagonal, scaled by a power of two that
-    brings its largest entry below 1, and its distances are scaled back,
-    saturating at inf; other matrices keep their bits and pay no extra pass.
+    `pairwise_sq_dists(x)`, under the same bound on the entries.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal below
-        gram = c @ np.swapaxes(c, -1, -2)
+    gram = c @ np.swapaxes(c, -1, -2)
     sq = np.diagonal(gram, axis1=-2, axis2=-1)
-    shift = None
-    if (sq >= _GRAM_LIMIT).any():
-        shift = _overflow_shift(c, (sq >= _GRAM_LIMIT).any(axis=-1))
-        c = np.ldexp(c, -shift)
-        gram = c @ np.swapaxes(c, -1, -2)
-        sq = np.diagonal(gram, axis1=-2, axis2=-1)
     dists = sq[..., :, None] + sq[..., None, :]
     gram *= -2.0
     dists += gram
     np.maximum(dists, 0.0, out=dists)
     diag = np.arange(dists.shape[-1])
     dists[..., diag, diag] = 0.0
-    if shift is not None:
-        with np.errstate(over="ignore"):
-            np.ldexp(dists, 2 * shift, out=dists)
     return dists
-
-
-def _overflow_shift(c: np.ndarray, huge: np.ndarray) -> np.ndarray:
-    """Per matrix of `c`, the power of two its entries are divided by.
-
-    It is that of the largest entry for a matrix flagged in `huge`, and 0
-    for any other matrix, as for one holding a non-finite entry, which no
-    scaling makes finite.
-    """
-    peak = np.abs(c).max(axis=(-2, -1), keepdims=True)
-    return np.where(huge[..., None, None] & np.isfinite(peak), np.frexp(peak)[1], 0)
 
 
 # Entries per finiteness check in `check_server_ingress`: its bool array

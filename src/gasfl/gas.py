@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .aggregators import _PAIRWISE_KINDS, AggregatorSpec, _check_f, aggregate
-from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition
+from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition, scale_exponents
 
 # Bytes per block of groups, for its gathered client rows and for the
 # (groups, n, n) stack a pairwise base builds from them.
@@ -170,8 +170,9 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     Each block's scores are then taken in place and reduced over its
     leading axis, so every group norm adds its coordinates one at a time in
     ascending order, as the row norms of the column-major `x[:, subset]` in
-    `group_scores` do; a norm past the float range is inf. Totals are summed
-    in ascending group order.
+    `group_scores` do. Totals are summed in ascending group order.
+    Uploads `scale_exponents` flags are scored scaled down; only the report,
+    scaled back, may saturate at inf.
     """
     x = as_gradient_matrix(gradients)
     n, d = x.shape
@@ -179,6 +180,12 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         raise ValueError(f"need at least 2 clients, got n={n}")
     keep_count, base_f = _resolve_counts(config.selection, n)
     _check_f(config.base, n, base_f)  # every bound in the table keeps keep_count >= 1
+    shift = scale_exponents(x)[0, 0]
+    if shift:
+        agg, table, result, partition = gas_aggregate(config, np.ldexp(x, -shift), round)
+        with np.errstate(over="ignore"):
+            table = ScoreTable(*(np.ldexp(a, shift) for a in (table.group_scores, table.totals)))
+        return np.ldexp(agg, shift), table, result, partition
 
     if config.partition_policy == "per_round":
         part_seed = config.seed.child("partition", round)
@@ -199,10 +206,9 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         center = aggregate(config.base, block.transpose(1, 2, 0), base_f,
                            seed=(round_seed.child("group", q) for q in groups))
         block -= center.T[:, :, None]
-        with np.errstate(over="ignore"):
-            block *= block
-            norms = np.add.reduce(block, axis=0, out=scores[first:first + len(groups)])
-            np.sqrt(norms, out=norms)
+        block *= block
+        norms = np.add.reduce(block, axis=0, out=scores[first:first + len(groups)])
+        np.sqrt(norms, out=norms)
     table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
     result = select_clients(table.totals, keep_count)
     return _mean_of_rows(x, result.selected), table, result, partition

@@ -27,7 +27,7 @@ Seed derivation used by one run (all children of the per-repeat run seed):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -200,6 +200,7 @@ class RoundRecord:
     deviation: float
     honest_inclusion_ratio: float
     byz_inclusion_count: int
+    f_excess: int  # how far the round's count passed the rule's bound, clamped off
     wall_time: float
 
 
@@ -356,7 +357,7 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
         uploads[byz_mask] = crafted
     check_server_ingress(uploads)
 
-    agg, selected = _defend(cfg.defense, uploads, int(byz_clients.size), state.seed, t)
+    agg, selected, f_excess = _defend(cfg.defense, uploads, int(byz_clients.size), state.seed, t)
     new_w = state.w - agg
 
     ratio, byz_in = inclusion_metrics(selected, byz_mask)
@@ -366,23 +367,44 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
         deviation=deviation_metric(agg, honest_matrix),
         honest_inclusion_ratio=ratio,
         byz_inclusion_count=byz_in,
+        f_excess=f_excess,
         wall_time=time.perf_counter() - started,
     )
     return new_w, record
 
 
+def _within_bound(spec: AggregatorSpec, n: int, f: int) -> int:
+    """f clamped into [0, max_f(spec, n)]; a rule that takes no f at n gets 0 and raises."""
+    return min(f, max(max_f(spec, n), 0))
+
+
 def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
-            t: int) -> tuple[np.ndarray, np.ndarray]:
+            t: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(aggregate, kept positions, excess) of the defense on one round's uploads.
+
+    A sampled round can hold more Byzantine clients than the rule tolerates
+    at its size. The rule is then handed its bound instead, and the excess
+    is returned: the count the rule would have needed minus the one it got.
+    GAS with `delta` is clamped the same way on ceil(delta * n), and
+    bucketing at ceil(n / s) buckets.
+    """
+    n = uploads.shape[0]
     try:
         if isinstance(defense, PlainDefense):
-            return aggregate_with_selection(defense.base, uploads, f_round, seed.child("agr", t))
+            f = _within_bound(defense.base, n, f_round)
+            agg, selected = aggregate_with_selection(defense.base, uploads, f, seed.child("agr", t))
+            return agg, selected, f_round - f
         if isinstance(defense, GasDefense):
             gcfg = defense.gas_config(f_round, seed.child("gas"))
+            wanted = gas_mod._resolve_counts(gcfg.selection, n)[1]
+            f = _within_bound(defense.base, n, wanted)
+            gcfg = replace(gcfg, selection=gas_mod.KnownF(f))  # Ratio(delta) is KnownF(wanted)
             agg, _, result, _ = gas_mod.gas_aggregate(gcfg, uploads, round=t)
-            return agg, result.selected
+            return agg, result.selected, wanted - f
         if isinstance(defense, BucketedDefense):
-            agg = bucketing_wrap(defense.base, uploads, f_round, defense.s, seed.child("bucketing", t))
-            return agg, np.arange(uploads.shape[0])
+            f = _within_bound(defense.base, -(-n // defense.s), f_round)
+            agg = bucketing_wrap(defense.base, uploads, f, defense.s, seed.child("bucketing", t))
+            return agg, np.arange(n), f_round - f
     except ValueError as exc:
         raise ValueError(f"defense failed in round {t}: {exc}") from exc
     raise ValueError(f"unknown defense {defense!r}")

@@ -41,7 +41,7 @@ def test_run_produces_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "rounds.csv").read_text().strip().splitlines()
-    assert rows[0] == "round,repeat,accuracy,deviation,honest_ratio,byz_count"
+    assert rows[0] == "round,repeat,accuracy,deviation,honest_ratio,byz_count,f_excess"
     assert len(rows) - 1 == 2 * 2  # rounds x repeats
     assert (out / "summary.txt").read_text().startswith("best_accuracy_mean = ")
     assert (out / "manifest.json").exists() and (out / "timings.txt").exists()
@@ -134,11 +134,12 @@ def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
 
 
 def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
-    # 6 of 9 clients sampled, so the parse-time bound check is skipped, and
-    # every round samples a Byzantine client: 2 buckets tolerate none
+    # 2 of 9 clients sampled, so the parse-time bound check is skipped, and
+    # every round hands Multi-Krum fewer than the 3 clients it needs
     cfg = _write_config(tmp_path, {
         "experiment.n_clients": 9, "experiment.n_byzantine": 4,
-        "experiment.client_sample_ratio": 0.67, "defense.kind": "bucketing", "defense.s": 3})
+        "experiment.client_sample_ratio": 0.22, "defense.kind": "plain",
+        "defense.base": {"kind": "multi_krum"}})
     payload = json.loads(cfg.read_text())
     for key in ["p", "delta", "partition_policy"]:
         payload["defense"].pop(key)

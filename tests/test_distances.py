@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasfl.aggregators import (KINDS, AggregatorSpec, aggregate, aggregate_with_selection,
-                               estimate_resilience, max_f)
+                               bucketing_wrap, estimate_resilience, max_f)
 from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec, pairwise_sq_dists
 from gasfl.data import generate_synthetic
@@ -119,50 +119,97 @@ def test_bulyan_selection_translation_and_permutation_invariant(data, f_share):
 
 # a finite upload whose squared norm overflows ------------------------------------
 
+def _gas_on(base, x, f=2):
+    return gas_aggregate(GasConfig(p=2, base=AggregatorSpec(base), selection=KnownF(f),
+                                   seed=SeedSpec(0)), x)
+
+
 @pytest.mark.parametrize("big", [1e154, 1e160, 1e300, np.finfo(float).max])
 def test_huge_finite_row_is_dropped_without_nan(big):
-    # the row pulls the centering mean far out, so its squared norm, and the
-    # honest ones, overflow the Gram form unless it is rescaled
+    # the row's squares, and with them the Gram form, the Weiszfeld distances
+    # and DnC's power iteration, overflow unless the defense's entry scales
+    # the matrix down first
     x = np.random.default_rng(0).standard_normal((12, 5))
     x[0] = big
-    sq = pairwise_sq_dists(x)
-    assert not np.isnan(sq).any()
-    assert (sq[0, 1:] > 0).all()
-    assert np.array_equal(_kept("multi_krum", x, 2), np.arange(1, 11))
-    assert np.array_equal(_kept("bulyan", x, 2), np.arange(1, 9))
-    for base in ("multi_krum", "bulyan"):
-        cfg = GasConfig(p=2, base=AggregatorSpec(base), selection=KnownF(2), seed=SeedSpec(0))
-        agg, table, sel, _ = gas_aggregate(cfg, x)
-        assert 0 not in sel.selected and table.totals[0] == np.inf, base
+    for base in KINDS:
+        agg, kept = aggregate_with_selection(AggregatorSpec(base), x, 2, seed=SeedSpec(0))
+        assert np.isfinite(agg).all(), base
+        if base == "dnc":
+            assert 0 not in kept
+        elif base in ("multi_krum", "bulyan"):
+            assert np.array_equal(kept, np.arange(1, 11 if base == "multi_krum" else 9)), base
+        agg, table, sel, _ = _gas_on(base, x)
+        assert 0 not in sel.selected and np.argmax(table.totals) == 0, base
+        assert not np.isnan(table.totals).any(), base
         assert np.array_equal(agg, x[sel.selected].mean(axis=0)), base
 
 
 def test_rows_near_the_float_maximum_overflow_no_centering_mean():
-    # two rows at 1.7e308 sum past the float range, so the centering mean
-    # itself overflows unless the matrix is scaled down first
+    # two rows at 1.7e308 sum past the float range, so every mean of them,
+    # the centering mean and a bucket mean alike, overflows unless the
+    # defense's entry scales the matrix down first
     x = np.random.default_rng(0).standard_normal((12, 5))
     x[:2] = 1.7e308
-    sq = pairwise_sq_dists(x)
-    assert not np.isnan(sq).any() and sq[0, 1] == 0 and np.isposinf(sq[:2, 2:]).all()
+    for kind in KINDS:
+        spec = AggregatorSpec(kind)
+        assert np.isfinite(aggregate(spec, x, 2, seed=SeedSpec(0))).all(), kind
+        assert np.isfinite(bucketing_wrap(spec, x, min(2, max_f(spec, 6)), 2)).all(), kind
+        agg, _, sel, _ = _gas_on(kind, x)
+        assert np.array_equal(sel.selected, np.arange(2, 12)), kind
+        assert np.array_equal(agg, x[2:].mean(axis=0)), kind
     assert np.array_equal(_kept("multi_krum", x, 2), np.arange(2, 12))
-    assert np.isfinite(aggregate(AggregatorSpec("bulyan"), x, 2)).all()
-    cfg = GasConfig(p=2, base=AggregatorSpec("multi_krum"), selection=KnownF(2), seed=SeedSpec(0))
-    agg, _, sel, _ = gas_aggregate(cfg, x)
-    assert np.array_equal(sel.selected, np.arange(2, 12))
-    assert np.array_equal(agg, x[2:].mean(axis=0))
     # an ordinary matrix stacked with it keeps the bits it has alone
     y = np.random.default_rng(1).standard_normal((12, 5))
-    assert np.array_equal(pairwise_sq_dists(np.stack([x, y]))[1], pairwise_sq_dists(y))
+    for kind in KINDS:
+        spec = AggregatorSpec(kind)
+        stacked = aggregate(spec, np.stack([x, y]), 2, seed=SeedSpec(0))
+        assert np.array_equal(stacked[1], aggregate(spec, y, 2, seed=SeedSpec(0))), kind
 
 
-def test_bulyan_never_repicks_when_every_score_is_inf():
-    # rows on distinct axes at the float maximum: every distance saturates to
-    # inf, so every Krum score in every pool is inf and the pool order decides
+def test_bulyan_never_repicks_when_every_score_is_tied():
+    # rows on distinct axes at the float maximum: every pair sits the same
+    # distance apart, so every Krum score in every pool ties and the pool
+    # order decides
     x = np.eye(6) * np.finfo(float).max
-    assert np.isposinf(pairwise_sq_dists(x)[~np.eye(6, dtype=bool)]).all()
     assert np.array_equal(_kept("bulyan", x, 1), [0, 1, 2, 3])
     stack = np.stack([x, x[::-1]])
     assert np.array_equal(_kept("bulyan", stack, 1), [[0, 1, 2, 3], [0, 1, 2, 3]])
+
+
+# every defense commutes with a power of two --------------------------------------
+
+@st.composite
+def ordinary_matrices(draw):
+    """(n, d) normal rows, n in 12..20, and a Byzantine count."""
+    n = draw(st.integers(12, 20), label="n")
+    d = draw(st.integers(1, 12), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return rng.standard_normal((n, d)), draw(st.integers(0, 3), label="f")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=ordinary_matrices())
+def test_every_defense_is_homogeneous_under_powers_of_two(data):
+    # scaling by 2^j is exact, and each entry's guard keeps the kernels
+    # inside the float range, so each output scales with the input bit for bit
+    x, f = data
+    for kind in KINDS:
+        spec = AggregatorSpec(kind)
+        f_rule = min(f, max_f(spec, x.shape[0]))
+        f_bucket = min(f, max_f(spec, -(-x.shape[0] // 2)))
+        cfg = GasConfig(p=min(3, x.shape[1]), base=spec, selection=KnownF(f_rule), seed=SeedSpec(1))
+        plain = aggregate(spec, x, f_rule, seed=SeedSpec(2))
+        agg, _, sel, _ = gas_aggregate(cfg, x)
+        bucketed = bucketing_wrap(spec, x, f_bucket, 2, SeedSpec(3))
+        for j in (0, 150, 300, 700, 1000):
+            y = np.ldexp(x, j)
+            assert np.array_equal(aggregate(spec, y, f_rule, seed=SeedSpec(2)),
+                                  np.ldexp(plain, j)), (kind, j)
+            agg_j, _, sel_j, _ = gas_aggregate(cfg, y)
+            assert np.array_equal(sel_j.selected, sel.selected), (kind, j)
+            assert np.array_equal(agg_j, np.ldexp(agg, j)), (kind, j)
+            assert np.array_equal(bucketing_wrap(spec, y, f_bucket, 2, SeedSpec(3)),
+                                  np.ldexp(bucketed, j)), (kind, j)
 
 
 # a stack scores each matrix as it would alone ------------------------------------

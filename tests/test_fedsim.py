@@ -428,12 +428,39 @@ def test_bucketed_defense_runs():
 
 
 def test_defense_failure_names_round():
-    # 6 of 9 clients sampled: the config passes, and round 0 samples a
-    # Byzantine client that 2 buckets cannot tolerate
-    cfg = _small_cfg(attack="lie", n=9, f=4, rounds=1, client_sample_ratio=0.67,
-                     defense=BucketedDefense(AggregatorSpec("median"), s=3))
+    # 2 of 9 clients sampled: the config passes, and round 0 hands
+    # Multi-Krum fewer than the 3 clients it needs at any f
+    cfg = _small_cfg(attack="lie", n=9, f=4, rounds=1, client_sample_ratio=0.22,
+                     defense=PlainDefense(AggregatorSpec("multi_krum")))
     with pytest.raises(ValueError, match="round 0"):
         run_single(cfg, SeedSpec(33))
+
+
+# a sampled round with more Byzantine clients than the rule tolerates --------------
+
+PARTIAL_DEFENSES = [PlainDefense(AggregatorSpec("median")), GasDefense(AggregatorSpec("median"), p=650),
+                    PlainDefense(AggregatorSpec("multi_krum"))]
+
+
+@pytest.mark.parametrize("defense", PARTIAL_DEFENSES, ids=["median", "gas_median", "multi_krum"])
+def test_partial_participation_clamps_f_and_counts_the_excess(defense):
+    # 10 of 50 clients sampled per round; round 67 samples 5 Byzantine
+    # clients, one past the bound of 4 that these rules have at n = 10
+    cfg = ExperimentConfig(n_clients=50, n_byzantine=10, rounds=200, attack=AttackSpec("lie", z=1.5),
+                           defense=defense, client_sample_ratio=0.2, repeats=1)
+    records = run_single(cfg, SeedSpec(3))
+    assert len(records) == 200
+    assert records[67].f_excess == 1
+    assert all(r.f_excess >= 0 for r in records)
+
+
+def test_gas_delta_drop_count_is_clamped():
+    # 5 of 10 clients per round, none with an empty shard: delta = 0.45 drops
+    # ceil(2.25) = 3, and the median tolerates 2 of 5, so every round runs
+    # with 2 and records an excess of 1
+    cfg = _small_cfg(n=10, f=2, rounds=3, client_sample_ratio=0.5,
+                     defense=GasDefense(AggregatorSpec("median"), p=4, delta=0.45))
+    assert [r.f_excess for r in run_single(cfg, SeedSpec(4))] == [1, 1, 1]
 
 
 # experiment driver ---------------------------------------------------------------
