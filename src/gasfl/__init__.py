@@ -12,7 +12,7 @@ from .attacks import AttackContext, AttackSpec, craft
 from .core import IndexPartition, SeedSpec, make_partition
 from .data import (ClientShards, DirichletPartition, SyntheticDataset, SyntheticGradientModel,
                    dirichlet_partition, generate_synthetic)
-from .gas import GasConfig, KnownF, Ratio, ScoreTable, SelectionResult, gas_aggregate
+from .gas import GasConfig, KnownF, ScoreTable, SelectionResult, gas_aggregate
 from .models import Model
 from .simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
                          PlainDefense, RoundRecord, TrainerConfig, local_train,

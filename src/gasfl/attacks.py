@@ -89,9 +89,8 @@ def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) ->
     x = as_gradient_matrix(ctx.honest_gradients)
     if f == 0:
         return np.zeros((0, x.shape[1]))
-    minimum = 1 if spec.kind == "ipm" else 2
-    if x.shape[0] < minimum:
-        raise ValueError(f"{spec.kind} needs at least {minimum} honest gradients, got {x.shape[0]}")
+    if x.shape[0] == 0:  # one honest row has std 0: lie, min_max and min_sum return it
+        raise ValueError(f"{spec.kind} needs at least 1 honest gradient, got 0")
     if spec.kind == "lie":  # hide just outside the crowd, in population-std units
         vec = x.mean(axis=0) + spec.z * x.std(axis=0)
     elif spec.kind == "ipm":  # the negatively scaled honest mean flips the update's direction

@@ -28,7 +28,6 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -59,20 +58,6 @@ class KnownF:
             raise ValueError(f"Byzantine count must be >= 0, got f={self.f}")
 
 
-@dataclass(frozen=True)
-class Ratio:
-    """Drop ceil(delta * n) clients per call; f is unknown to the server."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta < 0.5:
-            raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
-
-
-Selection = Union[KnownF, Ratio]
-
-
 PARTITION_POLICIES = ("per_round", "fixed")
 
 
@@ -80,7 +65,7 @@ PARTITION_POLICIES = ("per_round", "fixed")
 class GasConfig:
     p: int
     base: AggregatorSpec
-    selection: Selection
+    selection: KnownF
     seed: SeedSpec
     partition_policy: str = "per_round"  # one of PARTITION_POLICIES
 
@@ -128,12 +113,6 @@ def select_clients(totals: np.ndarray, keep_count: int) -> SelectionResult:
     return SelectionResult(selected=kept, keep_count=keep_count)
 
 
-def _resolve_counts(selection: Selection, n: int) -> tuple[int, int]:
-    """(keep_count, byzantine count handed to the base rule) for n clients."""
-    f = selection.f if isinstance(selection, KnownF) else int(np.ceil(selection.delta * n))
-    return n - f, f
-
-
 def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
     """The groups in blocks of at most `_BLOCK_BYTES` each, in group order.
 
@@ -178,8 +157,8 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 clients, got n={n}")
-    keep_count, base_f = _resolve_counts(config.selection, n)
-    _check_f(config.base, n, base_f)  # every bound in the table keeps keep_count >= 1
+    f = config.selection.f
+    _check_f(config.base, n, f)  # every bound in the table keeps n - f >= 1
     shift = scale_exponents(x)[0, 0]
     if shift:
         agg, table, result, partition = gas_aggregate(config, np.ldexp(x, -shift), round)
@@ -203,14 +182,14 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         else:
             block = np.take(xt, cols.T, axis=0)
         groups = range(first, first + cols.shape[0])
-        center = aggregate(config.base, block.transpose(1, 2, 0), base_f,
+        center = aggregate(config.base, block.transpose(1, 2, 0), f,
                            seed=(round_seed.child("group", q) for q in groups))
         block -= center.T[:, :, None]
         block *= block
         norms = np.add.reduce(block, axis=0, out=scores[first:first + len(groups)])
         np.sqrt(norms, out=norms)
     table = ScoreTable(group_scores=scores.T, totals=scores.sum(axis=0))
-    result = select_clients(table.totals, keep_count)
+    result = select_clients(table.totals, n - f)
     return _mean_of_rows(x, result.selected), table, result, partition
 
 
@@ -231,6 +210,6 @@ def _mean_of_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 __all__ = [
-    "PARTITION_POLICIES", "GasConfig", "KnownF", "Ratio", "ScoreTable", "SelectionResult",
+    "PARTITION_POLICIES", "GasConfig", "KnownF", "ScoreTable", "SelectionResult",
     "group_scores", "select_clients", "gas_aggregate",
 ]

@@ -27,7 +27,7 @@ Seed derivation used by one run (all children of the per-repeat run seed):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -108,7 +108,7 @@ class PlainDefense:
 class GasDefense:
     """Split-gradient defense. With `delta` None the server knows each round's
     Byzantine count f and keeps n - f clients; otherwise f is unknown to it
-    and it drops ceil(delta * n)."""
+    and it drops ceil(delta * n) (see `_base_input`)."""
 
     base: AggregatorSpec
     p: int
@@ -116,12 +116,13 @@ class GasDefense:
     partition_policy: str = "per_round"
 
     def __post_init__(self):
-        self.gas_config(0, SeedSpec(0))  # runs the p, delta and partition_policy checks
+        if self.delta is not None and not 0.0 <= self.delta < 0.5:  # a NaN fails too
+            raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
+        self.gas_config(0, SeedSpec(0))  # runs the p and partition_policy checks
 
-    def gas_config(self, f_round: int, seed: SeedSpec) -> gas_mod.GasConfig:
-        """The round's GasConfig, keeping n - f_round clients when delta is None."""
-        selection = gas_mod.KnownF(f_round) if self.delta is None else gas_mod.Ratio(self.delta)
-        return gas_mod.GasConfig(p=self.p, base=self.base, selection=selection, seed=seed,
+    def gas_config(self, f: int, seed: SeedSpec) -> gas_mod.GasConfig:
+        """The GasConfig that hands the base rule f and keeps n - f clients."""
+        return gas_mod.GasConfig(p=self.p, base=self.base, selection=gas_mod.KnownF(f), seed=seed,
                                  partition_policy=self.partition_policy)
 
 
@@ -178,14 +179,20 @@ class ExperimentConfig:
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
             raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
+        f, rows = _base_input(self.defense, self.sample_size, self.n_byzantine)
+        # a partial round's count is clamped to the rule's bound, so only a sample
+        # too small for the rule at f = 0 fails every round
+        if self.sample_size < self.n_clients and max_f(self.defense.base, rows) < 0:
+            raise ValueError(f"client_sample_ratio {self.client_sample_ratio} samples "
+                             f"{self.sample_size} of {self.n_clients} clients per round, too few "
+                             f"for {self.defense.base.kind} over {rows} rows at any f")
         if self.sample_size == self.n_clients:  # every round then hands the defense all clients
-            # the field that sets the count the base rule gets, that count, and the bucket size
-            field, f, s = "n_byzantine", self.n_byzantine, None
+            # the field that sets the count the base rule gets, and the bucket size
+            field, s = "n_byzantine", None
             if isinstance(self.defense, BucketedDefense):
                 field, s = "defense.s", self.defense.s
             elif isinstance(self.defense, GasDefense) and self.defense.delta is not None:
                 field = "defense.delta"
-                f = gas_mod._resolve_counts(gas_mod.Ratio(self.defense.delta), self.n_clients)[1]
             try:
                 _check_f(self.defense.base, self.n_clients, f, s)
             except ValueError as exc:
@@ -373,6 +380,18 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
     return new_w, record
 
 
+def _base_input(defense: Defense, n: int, f: int) -> tuple[int, int]:
+    """(Byzantine count, rows) the defense's base rule is handed for n clients
+    holding f Byzantine ones: f over n rows, except that GAS with `delta`
+    hands ceil(delta * n) whatever f is, and bucketing runs its rule over
+    ceil(n / s) bucket means."""
+    if isinstance(defense, GasDefense) and defense.delta is not None:
+        return int(np.ceil(defense.delta * n)), n
+    if isinstance(defense, BucketedDefense):
+        return f, -(-n // defense.s)
+    return f, n
+
+
 def _within_bound(spec: AggregatorSpec, n: int, f: int) -> int:
     """f clamped into [0, max_f(spec, n)]; a rule that takes no f at n gets 0 and raises."""
     return min(f, max(max_f(spec, n), 0))
@@ -382,29 +401,27 @@ def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
             t: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(aggregate, kept positions, excess) of the defense on one round's uploads.
 
+    `_base_input` states the count the base rule needs and the rows it sees.
     A sampled round can hold more Byzantine clients than the rule tolerates
-    at its size. The rule is then handed its bound instead, and the excess
-    is returned: the count the rule would have needed minus the one it got.
-    GAS with `delta` is clamped the same way on ceil(delta * n), and
-    bucketing at ceil(n / s) buckets.
+    at that size, and GAS's ceil(delta * n) can pass it too. The rule is then
+    handed its bound instead, and the excess is returned: the count the rule
+    would have needed minus the one it got. GAS keeps n minus the count it
+    was handed.
     """
     n = uploads.shape[0]
+    wanted, rows = _base_input(defense, n, f_round)
+    f = _within_bound(defense.base, rows, wanted)
     try:
         if isinstance(defense, PlainDefense):
-            f = _within_bound(defense.base, n, f_round)
             agg, selected = aggregate_with_selection(defense.base, uploads, f, seed.child("agr", t))
-            return agg, selected, f_round - f
+            return agg, selected, wanted - f
         if isinstance(defense, GasDefense):
-            gcfg = defense.gas_config(f_round, seed.child("gas"))
-            wanted = gas_mod._resolve_counts(gcfg.selection, n)[1]
-            f = _within_bound(defense.base, n, wanted)
-            gcfg = replace(gcfg, selection=gas_mod.KnownF(f))  # Ratio(delta) is KnownF(wanted)
-            agg, _, result, _ = gas_mod.gas_aggregate(gcfg, uploads, round=t)
+            agg, _, result, _ = gas_mod.gas_aggregate(defense.gas_config(f, seed.child("gas")),
+                                                      uploads, round=t)
             return agg, result.selected, wanted - f
         if isinstance(defense, BucketedDefense):
-            f = _within_bound(defense.base, -(-n // defense.s), f_round)
             agg = bucketing_wrap(defense.base, uploads, f, defense.s, seed.child("bucketing", t))
-            return agg, np.arange(n), f_round - f
+            return agg, np.arange(n), wanted - f
     except ValueError as exc:
         raise ValueError(f"defense failed in round {t}: {exc}") from exc
     raise ValueError(f"unknown defense {defense!r}")

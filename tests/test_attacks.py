@@ -68,11 +68,13 @@ def test_craft_colluders_identical():
         assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
 
-def test_craft_requires_two_honest_for_statistics():
-    ctx = AttackContext(np.array([[1.0, 2.0]]), 2)
+def test_craft_statistics_from_one_honest_row():
+    # one row has std 0, so each statistic attack sends that row back
+    row = np.array([[1.0, -2.5, 3e-300]])
     for kind in ["lie", "min_max", "min_sum"]:
-        with pytest.raises(ValueError, match="at least 2"):
-            craft(AttackSpec(kind), ctx)
+        assert np.array_equal(craft(AttackSpec(kind), AttackContext(row, 2)), np.tile(row, (2, 1)))
+        with pytest.raises(ValueError, match="at least 1"):
+            craft(AttackSpec(kind), AttackContext(np.zeros((0, 2)), 2))
 
 
 def test_craft_deterministic():

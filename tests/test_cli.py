@@ -7,8 +7,7 @@ from gasfl.aggregators import KINDS as AGR_KINDS
 from gasfl.attacks import KINDS as ATTACK_KINDS
 from gasfl.cli import main
 from gasfl.config import ConfigError, emit_config, emit_json, manifest, parse_config
-from gasfl.core import SeedSpec
-from gasfl.gas import KnownF, Ratio
+from gasfl.simulation import _base_input
 
 SMALL_CONFIG = {
     "experiment": {"n_clients": 6, "n_byzantine": 1, "rounds": 2,
@@ -58,10 +57,11 @@ def test_run_missing_config_exits_2(tmp_path):
 
 
 def test_gas_delta_sets_selection():
+    # (count handed to the base rule, rows) for 10 clients holding 1 Byzantine
     payload = json.loads(json.dumps(SMALL_CONFIG))
-    assert parse_config(json.dumps(payload)).defense.gas_config(1, SeedSpec(0)).selection == KnownF(1)
+    assert _base_input(parse_config(json.dumps(payload)).defense, 10, 1) == (1, 10)
     payload["defense"]["delta"] = 0.3
-    assert parse_config(json.dumps(payload)).defense.gas_config(1, SeedSpec(0)).selection == Ratio(0.3)
+    assert _base_input(parse_config(json.dumps(payload)).defense, 10, 1) == (3, 10)
 
 
 @pytest.mark.parametrize("path, value, needle", [
@@ -133,19 +133,37 @@ def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     assert needle in err and "Traceback" not in err
 
 
-def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
-    # 2 of 9 clients sampled, so the parse-time bound check is skipped, and
-    # every round hands Multi-Krum fewer than the 3 clients it needs
-    cfg = _write_config(tmp_path, {
-        "experiment.n_clients": 9, "experiment.n_byzantine": 4,
-        "experiment.client_sample_ratio": 0.22, "defense.kind": "plain",
-        "defense.base": {"kind": "multi_krum"}})
+def _plain_multi_krum_config(tmp_path, overrides):
+    cfg = _write_config(tmp_path, {**overrides, "defense.kind": "plain",
+                                   "defense.base": {"kind": "multi_krum"}})
     payload = json.loads(cfg.read_text())
     for key in ["p", "delta", "partition_policy"]:
         payload["defense"].pop(key)
     cfg.write_text(json.dumps(payload))
+    return cfg
+
+
+def test_run_runtime_defense_error_exits_3(tmp_path, capsys):
+    # 3 of 50 clients sampled, which Multi-Krum takes at f = 0, but most
+    # shards are empty, so round 0 keeps fewer than the 3 clients it needs
+    cfg = _plain_multi_krum_config(tmp_path, {
+        "experiment.n_clients": 50, "experiment.n_byzantine": 10,
+        "experiment.client_sample_ratio": 0.06, "experiment.master_seed": 0,
+        "data.n_classes": 10, "data.per_class": 2, "attack.kind": "none"})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "round" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "round" in err
+    assert "defense failed" in err
+
+
+def test_run_sample_too_small_for_the_rule_exits_2(tmp_path, capsys):
+    # 2 of 9 clients sampled: Multi-Krum needs 3 at any f, so no round could run
+    cfg = _plain_multi_krum_config(tmp_path, {
+        "experiment.n_clients": 9, "experiment.n_byzantine": 4,
+        "experiment.client_sample_ratio": 0.22})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.client_sample_ratio: client_sample_ratio 0.22 samples 2 of 9" in err
 
 
 def test_run_byte_identical_reruns(tmp_path):

@@ -10,12 +10,14 @@ from gasfl.attacks import AttackSpec
 from gasfl.core import SeedSpec
 from gasfl.data import (ClientShards, SyntheticGradientModel, dirichlet_partition,
                         generate_synthetic)
+from gasfl.gas import GasConfig, KnownF, gas_aggregate
 from gasfl.models import Model, finite_difference_grad
 from gasfl.reference import (dirichlet_shards_reference, local_train_reference,
                              synthetic_reference)
 from gasfl.simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
-                              PlainDefense, TrainerConfig, deviation_metric, inclusion_metrics,
-                              init_run, local_train, run_experiment, run_round, run_single)
+                              PlainDefense, TrainerConfig, _defend, _sample_clients,
+                              deviation_metric, inclusion_metrics, init_run, local_train,
+                              run_experiment, run_round, run_single)
 
 SMALL_DATA = DataConfig(n_classes=3, n_features=8, per_class=30, r_sep=6.0, noise=1.0,
                         beta=0.5, test_per_class=40)
@@ -371,7 +373,6 @@ def test_round_sampling_is_pure_function_of_seed_and_round():
     cfg = _small_cfg(n=8, f=2, rounds=2, client_sample_ratio=0.5)
     state1 = init_run(cfg, SeedSpec(6))
     state2 = init_run(cfg, SeedSpec(6))
-    from gasfl.simulation import _sample_clients
     assert np.array_equal(_sample_clients(cfg, state1, 1), _sample_clients(cfg, state2, 1))
     assert not np.array_equal(_sample_clients(cfg, state1, 1), _sample_clients(cfg, state1, 2))
 
@@ -428,12 +429,24 @@ def test_bucketed_defense_runs():
 
 
 def test_defense_failure_names_round():
-    # 2 of 9 clients sampled: the config passes, and round 0 hands
-    # Multi-Krum fewer than the 3 clients it needs at any f
-    cfg = _small_cfg(attack="lie", n=9, f=4, rounds=1, client_sample_ratio=0.22,
-                     defense=PlainDefense(AggregatorSpec("multi_krum")))
-    with pytest.raises(ValueError, match="round 0"):
-        run_single(cfg, SeedSpec(33))
+    # 3 of 50 clients sampled, which Multi-Krum takes at f = 0, but most
+    # shards are empty: round 0 keeps fewer than the 3 clients it needs
+    cfg = ExperimentConfig(n_clients=50, n_byzantine=10, rounds=1, attack=AttackSpec("none"),
+                           defense=PlainDefense(AggregatorSpec("multi_krum")),
+                           data=dataclasses.replace(DataConfig(), per_class=2),
+                           client_sample_ratio=0.06, repeats=1)
+    with pytest.raises(ValueError, match="defense failed in round 0"):
+        run_single(cfg, SeedSpec(0))
+
+
+def test_sample_too_small_for_the_rule_is_rejected():
+    # Multi-Krum needs 3 rows at f = 0: 4 of 20 clients are enough, but
+    # their ceil(4 / 2) = 2 bucket means and 2 clients are not
+    krum = AggregatorSpec("multi_krum")
+    _small_cfg(n=20, f=4, client_sample_ratio=0.2, defense=PlainDefense(krum))
+    for ratio, defense in [(0.2, BucketedDefense(krum, s=2)), (0.1, PlainDefense(krum))]:
+        with pytest.raises(ValueError, match=f"^client_sample_ratio {ratio} samples "):
+            _small_cfg(n=20, f=4, client_sample_ratio=ratio, defense=defense)
 
 
 # a sampled round with more Byzantine clients than the rule tolerates --------------
@@ -454,6 +467,25 @@ def test_partial_participation_clamps_f_and_counts_the_excess(defense):
     assert all(r.f_excess >= 0 for r in records)
 
 
+def test_round_with_one_honest_client_runs():
+    # 5 of 50 clients per round: some rounds sample one honest client, whose
+    # row is then the lie attack's mean, with a std of 0
+    cfg = _small_cfg(attack="lie", n=50, f=10, rounds=200, client_sample_ratio=0.1,
+                     defense=GasDefense(AggregatorSpec("median"), p=4, delta=0.45))
+    state = init_run(cfg, SeedSpec(4))
+    honest_counts, failed = [], []
+    for t in range(cfg.rounds):
+        sampled = _sample_clients(cfg, state, t)
+        honest_counts.append(sum(int(c) not in state.byz_ids for c in sampled))
+        try:
+            state.w, _ = run_round(state, cfg, t)
+        except ValueError as exc:
+            assert "no honest client sampled" in str(exc)
+            failed.append(t)
+    assert honest_counts.count(1) > 0
+    assert failed == [50, 78]  # out of scope here: rounds with no honest client
+
+
 def test_gas_delta_drop_count_is_clamped():
     # 5 of 10 clients per round, none with an empty shard: delta = 0.45 drops
     # ceil(2.25) = 3, and the median tolerates 2 of 5, so every round runs
@@ -461,6 +493,30 @@ def test_gas_delta_drop_count_is_clamped():
     cfg = _small_cfg(n=10, f=2, rounds=3, client_sample_ratio=0.5,
                      defense=GasDefense(AggregatorSpec("median"), p=4, delta=0.45))
     assert [r.f_excess for r in run_single(cfg, SeedSpec(4))] == [1, 1, 1]
+
+
+# GAS with an unknown f: ceil(delta * n) dropped --------------------------------
+
+def test_gas_delta_keeps_n_minus_ceil_delta_n():
+    x = np.random.default_rng(6).standard_normal((10, 6))
+    seed, median = SeedSpec(3), AggregatorSpec("median")
+    agg, selected, excess = _defend(GasDefense(median, p=4, delta=0.25), x, 1, seed, 2)
+    f = int(np.ceil(0.25 * 10))
+    assert selected.size == 10 - f and excess == 0
+    ref, _, result, _ = gas_aggregate(GasConfig(4, median, KnownF(f), seed.child("gas")), x, round=2)
+    assert np.array_equal(agg, ref) and np.array_equal(selected, result.selected)
+
+
+def test_gas_delta_zero_keeps_everyone():
+    x = np.random.default_rng(7).standard_normal((6, 4))
+    _, selected, _ = _defend(GasDefense(AggregatorSpec("median"), p=4, delta=0.0), x, 2, SeedSpec(3), 0)
+    assert np.array_equal(selected, np.arange(6))
+
+
+@pytest.mark.parametrize("delta", [0.5, -0.1, float("nan")])
+def test_gas_defense_rejects_delta_outside_range(delta):
+    with pytest.raises(ValueError, match=r"^delta must lie in \[0, 0.5\)"):
+        GasDefense(AggregatorSpec("median"), p=4, delta=delta)
 
 
 # experiment driver ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gasfl import gas
 from gasfl.aggregators import _PAIRWISE_KINDS, AggregatorSpec, aggregate
 from gasfl.core import SeedSpec, make_partition
-from gasfl.gas import (GasConfig, KnownF, Ratio, SelectionResult, _group_blocks, gas_aggregate,
+from gasfl.gas import (GasConfig, KnownF, SelectionResult, _group_blocks, gas_aggregate,
                        group_scores, select_clients)
 
 ALL_BASES = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
@@ -112,18 +112,6 @@ def test_gas_score_table_invariants():
     for q in range(table.group_scores.shape[1]):
         recomputed += table.group_scores[:, q]
     assert np.array_equal(table.totals, recomputed)
-
-
-def test_gas_ratio_mode_keep_count():
-    x = _rand(6, 10, 6)
-    _, _, sel, _ = gas_aggregate(_cfg(selection=Ratio(0.25)), x)
-    assert sel.keep_count == 10 - int(np.ceil(0.25 * 10))
-
-
-def test_gas_ratio_zero_keeps_everyone():
-    x = _rand(7, 6, 4)
-    _, _, sel, _ = gas_aggregate(_cfg(selection=Ratio(0.0)), x)
-    assert sel.keep_count == 6
 
 
 def test_gas_determinism_and_round_dependence():
@@ -252,7 +240,5 @@ def test_gas_preconditions():
         gas_aggregate(_cfg(selection=KnownF(2)), x)
     with pytest.raises(ValueError, match="at least 2"):
         gas_aggregate(_cfg(selection=KnownF(0)), x[:1])
-    with pytest.raises(ValueError):
-        Ratio(0.5)
     with pytest.raises(ValueError):
         KnownF(-1)
