@@ -445,6 +445,10 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not math.isfinite(adversary_scale):
+        raise ValueError(f"adversary_scale must be finite, got {adversary_scale}")
     ratios: list[float] = []
     skipped = 0
     for t in range(trials):

@@ -7,7 +7,8 @@ derives labeled child streams from it.
 
 The overflow policy lives here once: every defense's entry scales a matrix
 by the power of two `scale_exponents` gives it, so the distance kernels
-below only ever see entries under `SCALE_LIMIT`.
+below only ever see entries under `SCALE_LIMIT`. So does the working-memory
+budget of every blockwise loop: `block_rows` sizes its blocks to `BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def as_gradient(values) -> np.ndarray:
 
 
 def as_gradient_matrix(gradients) -> np.ndarray:
-    """Stack a nonempty sequence of equal-length gradients into an (n, d) matrix."""
+    """Stack a nonempty sequence of equal-length gradients into an (n, d) matrix, d >= 1."""
     if isinstance(gradients, np.ndarray) and gradients.ndim == 2:
-        return np.asarray(gradients, dtype=np.float64)
+        return _with_width(np.asarray(gradients, dtype=np.float64))
     rows = [as_gradient(g) for g in gradients]
     if not rows:
         raise ValueError("empty gradient list")
@@ -132,7 +133,25 @@ def as_gradient_matrix(gradients) -> np.ndarray:
     for i, r in enumerate(rows):
         if r.shape[0] != d:
             raise ValueError(f"dimension mismatch: gradient 0 has d={d}, gradient {i} has d={r.shape[0]}")
-    return np.stack(rows)
+    return _with_width(np.stack(rows))
+
+
+def _with_width(x: np.ndarray) -> np.ndarray:
+    """`x`, an (n, d) matrix, checked to have d >= 1 coordinates."""
+    if x.shape[1] == 0:
+        raise ValueError(f"gradients need at least one coordinate, got shape {x.shape}")
+    return x
+
+
+# Bytes of scratch per block in every blockwise loop: a GAS block's gathered
+# rows and pairwise distances, an ingress check's bool mask, a chunk of row
+# norms. 256 KiB fits a block in a core's L2 cache.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes each that fit one `BLOCK_BYTES` block, at least 1."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 # The peak |entry| a defense's kernels take. DnC's power iteration squares
@@ -192,19 +211,16 @@ def centered_sq_dists(c: np.ndarray) -> np.ndarray:
     return dists
 
 
-# Entries per finiteness check in `check_server_ingress`: its bool array
-# stays this small whatever the upload size.
-_INGRESS_BLOCK = 1 << 16
-
-
 def check_server_ingress(matrix: np.ndarray) -> None:
     """Reject client uploads containing NaN (or infinite) entries.
 
-    Clean uploads cost one `isfinite` pass, taken a block of rows at a time.
-    Only a block holding a non-finite entry leads to the full scan, which
-    reports NaN before inf, naming the first client that holds one.
+    Clean uploads cost one `isfinite` pass, taken a block of rows at a time,
+    so its bool mask stays within `BLOCK_BYTES`. Only a block holding a
+    non-finite entry leads to the full scan, which reports NaN before inf,
+    naming the first client that holds one. Zero-width uploads are rejected.
     """
-    rows = max(1, _INGRESS_BLOCK // matrix.shape[1])
+    _with_width(matrix)
+    rows = block_rows(matrix.shape[1])
     if all(np.isfinite(matrix[i:i + rows]).all() for i in range(0, len(matrix), rows)):
         return
     if np.isnan(matrix).any():

@@ -15,13 +15,14 @@ into the one pair of arrays batched local training reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import SeedSpec
+from .core import SeedSpec, block_rows
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,14 @@ class SyntheticGradientModel:
     seed: SeedSpec
     base_norm: float = 1.0
 
+    def __post_init__(self):
+        for name in ("dim", "n_honest"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("kappa", "sigma", "base_norm"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
     def client_means(self) -> np.ndarray:
         """(n_honest, dim) fixed per-client means, drawn once per instance; read-only."""
         return self._client_means
@@ -130,7 +139,7 @@ class SyntheticGradientModel:
         # the row norms taken a few rows at a time: no other array of that
         # size means fewer fresh pages to fault at set-up
         shifts = rng.standard_normal((self.n_honest, self.dim))
-        rows = max(1, (1 << 18) // (8 * self.dim))
+        rows = block_rows(8 * self.dim)
         norms = np.empty((self.n_honest, 1))
         for i in range(0, self.n_honest, rows):
             norms[i:i + rows] = np.linalg.norm(shifts[i:i + rows], axis=1, keepdims=True)

@@ -9,14 +9,13 @@ the honest signal.
 
 The groups are walked in blocks of equal-size groups cut from
 `IndexPartition.groups`, each laid out as one C-ordered (size, groups, n) buffer.
-A block holds at most `_BLOCK_BYTES` of gathered rows and, when the base
-rule builds an (n, n) matrix per group, at most `_BLOCK_BYTES` of those
-matrices too. C-ordered uploads of at most `_GATHER_BYTES` are read straight
-along their rows, so the working memory beyond them is one bounded block
-whatever d, p and the base are. Larger or other-layout uploads are first
-transposed into a C-ordered (d, n) copy, streamed in one pass, whose rows
-each block reads whole: past the caches, a gather along the upload rows
-would load a cache line of every row per coordinate.
+A block holds at most `core.BLOCK_BYTES` of gathered rows and, when the
+base rule builds an (n, n) matrix per group, at most that of those matrices
+too. A block is gathered in the upload's own layout: along the rows of a
+C-ordered matrix, and from the rows of `x.T` otherwise, which for a
+column-major matrix is a view. Neither copies those uploads, so the working
+memory beyond them is one bounded block whatever d, p and the base are; a
+strided upload alone is copied once, into a C-ordered `x.T`.
 Whatever the base rule, it runs once per block, through `aggregate`, on the
 buffer's (groups, n, size) view, and gives each group bit for bit the
 aggregate it gives that group alone, so block boundaries never change a
@@ -32,19 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import _PAIRWISE_KINDS, AggregatorSpec, _check_f, aggregate
-from .core import IndexPartition, SeedSpec, as_gradient_matrix, make_partition, scale_exponents
-
-# Bytes per block of groups, for its gathered client rows and for the
-# (groups, n, n) stack a pairwise base builds from them.
-_BLOCK_BYTES = 1 << 18
-
-# C-ordered uploads up to this many bytes are gathered from along their rows,
-# with no copy of the whole matrix. Past the caches that gather loads a cache
-# line of every upload row per coordinate: on a 2-vCPU Xeon (2 MiB L2 per
-# core) it took about 2.3x as long as transposing once and reading whole rows
-# at 4 and 8 MB of uploads, and about 3x at 15 and 40 MB, where GAS(median,
-# p=100) as a whole ran 1.8x as long at n = 50, d = 1e5.
-_GATHER_BYTES = 1 << 23
+from .core import (IndexPartition, SeedSpec, as_gradient_matrix, block_rows, make_partition,
+                   scale_exponents)
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ def select_clients(totals: np.ndarray, keep_count: int) -> SelectionResult:
 
 
 def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
-    """The groups in blocks of at most `_BLOCK_BYTES` each, in group order.
+    """The groups in blocks of at most `core.BLOCK_BYTES` each, in group order.
 
     A block's gathered (n,) rows stay within the budget, and so do the
     (n, n) matrices, one per group, of a base in `_PAIRWISE_KINDS`. Yields
@@ -126,7 +114,7 @@ def _group_blocks(partition: IndexPartition, n: int, base: AggregatorSpec):
     for groups in partition.groups:
         size = groups.shape[1]
         width = max(size, n) if base.kind in _PAIRWISE_KINDS else size
-        step = max(1, _BLOCK_BYTES // (width * n * 8))
+        step = block_rows(width * n * 8)
         for start in range(0, groups.shape[0], step):
             yield first + start, groups[start:start + step]
         first += groups.shape[0]
@@ -141,11 +129,10 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
     call is a pure function of (config, gradients, round). The groups are
     walked in blocks of equal-size groups (`_group_blocks`), each gathered
     once into a C-ordered (size, groups, n) buffer: along the upload rows
-    when they are C-ordered and at most `_GATHER_BYTES`, else from the rows
-    of a C-ordered (d, n) transposed copy, which a column-major input
-    already is. The base rule runs once per block on the buffer's
-    (groups, n, size) view; group q's seed, which only DnC draws from, is
-    the round seed's child ("group", q).
+    when they are C-ordered, else from the rows of a C-ordered (d, n)
+    `x.T`, which for a column-major input is a view. The base rule runs
+    once per block on the buffer's (groups, n, size) view; group q's seed,
+    which only DnC draws from, is the round seed's child ("group", q).
     Each block's scores are then taken in place and reduced over its
     leading axis, so every group norm adds its coordinates one at a time in
     ascending order, as the row norms of the column-major `x[:, subset]` in
@@ -172,7 +159,7 @@ def gas_aggregate(config: GasConfig, gradients, round: int = 0,
         part_seed = config.seed.child("fixed_partition")
     partition = make_partition(d, config.p, part_seed)
 
-    along_rows = x.flags.c_contiguous and x.nbytes <= _GATHER_BYTES
+    along_rows = x.flags.c_contiguous
     xt = None if along_rows else np.ascontiguousarray(x.T)
     round_seed = config.seed.child("round", round)
     scores = np.empty((partition.p, n))

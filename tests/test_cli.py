@@ -280,6 +280,14 @@ def test_certify_constraint_violation_exits_2(capsys):
     assert "4f+2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [("--dim", "0", "dim"), ("--scale", "nan", "adversary_scale")])
+def test_certify_degenerate_setup_exits_2(flag, value, field, capsys):
+    # either would skip or poison every trial and report lambda_hat = nan
+    assert main(["certify", "--rule", "median", "--n", "5", "--f", "1",
+                 "--trials", "5", "--seed", "1", flag, value]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_certify_reproducible(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     args = ["certify", "--rule", "trimmed_mean", "--n", "9", "--f", "2",

@@ -5,6 +5,7 @@ import pytest
 
 from gasfl.aggregators import AggregatorSpec, aggregate
 from gasfl.core import IndexPartition, SeedSpec, as_gradient_matrix, check_server_ingress, make_partition
+from gasfl.gas import GasConfig, KnownF, gas_aggregate
 
 MEAN = AggregatorSpec("mean")
 
@@ -178,6 +179,22 @@ def test_ingress_checks_wide_uploads_in_row_blocks():
     x[49, -1] = np.nan
     with pytest.raises(ValueError, match="client 49.*NaN"):
         check_server_ingress(x)
+
+
+def test_zero_width_uploads_are_rejected():
+    # rejected with its shape before any block size divides by d = 0
+    empty = np.empty((3, 0))
+    with pytest.raises(ValueError, match=r"at least one coordinate, got shape \(3, 0\)"):
+        check_server_ingress(empty)
+    for call in (as_gradient_matrix, lambda x: aggregate(MEAN, x, 0),
+                 lambda x: gas_aggregate(GasConfig(p=1, base=MEAN, selection=KnownF(0),
+                                                   seed=SeedSpec(0)), x)):
+        with pytest.raises(ValueError, match=r"at least one coordinate, got shape \(3, 0\)"):
+            call(empty)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        as_gradient_matrix([[], []])
+    # zero rows stay allowed: `craft` reports them itself
+    assert as_gradient_matrix(np.empty((0, 4))).shape == (0, 4)
 
 
 def test_gradient_matrix_accepts_2d_array():

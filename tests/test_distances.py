@@ -278,6 +278,8 @@ MEMORY_CASES = {
                                                           1, SeedSpec(0)), 4, D),
     # the groups gathered straight from the input and scored block by block
     "gas_aggregate": (lambda x: _gas(x, "multi_krum"), 1, D),
+    # a 40 MB input, past every cache, is still gathered along its rows
+    "gas_aggregate_d_1e5": (lambda x: _gas(x, "median"), 0.25, 100_000),
     **{f"gas_aggregate_{base}": (lambda x, base=base: _gas(x, base), 1, D)
        for base in KINDS if base != "multi_krum"},
     # one coordinate per group, as at the desk shape: the (p, n) score table

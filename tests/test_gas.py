@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl import gas
 from gasfl.aggregators import _PAIRWISE_KINDS, AggregatorSpec, aggregate
 from gasfl.core import SeedSpec, make_partition
 from gasfl.gas import (GasConfig, KnownF, SelectionResult, _group_blocks, gas_aggregate,
@@ -154,26 +153,25 @@ def _block_shapes(n, d, p, base):
     return [cols.shape[::-1] for _, cols in _group_blocks(part, n, AggregatorSpec(base))]
 
 
-def _check_blocked_scoring():
-    # the blocked scoring equals scoring group by group with group_scores
+def _strided(x):
+    return np.repeat(x, 2, axis=1)[:, ::2]
+
+
+def _check_blocked_scoring(layout):
+    # the blocked scoring equals scoring group by group with group_scores,
+    # on every input passed through `layout`
     n, d, f, rnd = 12, 30, 2, 2
-    x = _rand(10, n, d)
-    # gas_aggregate reads a small C-ordered matrix along its rows and any
-    # other layout through a transposed copy: a column-major copy and a
-    # strided view must score like the C-ordered matrix
-    strided = np.repeat(x, 2, axis=1)[:, ::2]
-    for layout in (x, np.asfortranarray(x), strided):
-        for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
-            for base in ALL_BASES:
-                _assert_matches_per_group_path(layout, _cfg(p=p, base=base, selection=KnownF(f)),
-                                               f, rnd)
+    x = layout(_rand(10, n, d))
+    for p in (1, 7, d):  # 30 = 4 * 7 + 2: groups of 5 and 4 when p = 7
+        for base in ALL_BASES:
+            _assert_matches_per_group_path(x, _cfg(p=p, base=base, selection=KnownF(f)), f, rnd)
     # one column: numpy then averages the kept clients pairwise
     for base in ALL_BASES:
         _assert_matches_per_group_path(x[:, :1], _cfg(p=1, base=base, selection=KnownF(f)), f, rnd)
     # a wide_server-like shape: 10007 = 100 * 100 + 7, so 7 groups of 101
     # and 93 groups of 100 coordinates, and both sizes end in a partial block
     n, d, p = 50, 10007, 100
-    x = _rand(15, n, d)
+    x = layout(_rand(15, n, d))
     for base in ALL_BASES:
         shapes = _block_shapes(n, d, p, base)
         for size, count in ((101, 7), (100, 93)):
@@ -183,7 +181,7 @@ def _check_blocked_scoring():
     # the desk shape, one coordinate per group: a pairwise base scores its
     # groups in several blocks, bounded by their (n, n) matrices
     n, d = 50, 650
-    x = _rand(16, n, d)
+    x = layout(_rand(16, n, d))
     for base in ALL_BASES:
         assert (len(_block_shapes(n, d, d, base)) > 1) == (base in _PAIRWISE_KINDS), base
         if base in _PAIRWISE_KINDS:
@@ -191,13 +189,16 @@ def _check_blocked_scoring():
 
 
 def test_gas_scores_match_per_group_path():
-    _check_blocked_scoring()
+    # C-ordered uploads are gathered along their rows
+    _check_blocked_scoring(np.ascontiguousarray)
 
 
-def test_gas_transposed_gather_matches_per_group_path(monkeypatch):
-    # uploads past gas._GATHER_BYTES are gathered from a transposed copy
-    monkeypatch.setattr(gas, "_GATHER_BYTES", 0)
-    _check_blocked_scoring()
+def test_gas_transposed_gather_matches_per_group_path():
+    # any other layout is gathered from the rows of x.T: a view for a
+    # column-major matrix, and one C-ordered copy for a strided one
+    for layout in (np.asfortranarray, _strided):
+        assert not layout(_rand(10, 12, 30)).flags.c_contiguous
+        _check_blocked_scoring(layout)
 
 
 def test_gas_permutation_equivariance_fixed_partition():
