@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, pairwise_sq_dists, scale_exponents
+from .core import SeedSpec, _with_width, as_gradient_matrix, pairwise_sq_dists, scale_exponents
 
 KINDS = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
@@ -85,9 +85,9 @@ class ResilienceReport:
 
 
 def _as_points(gradients) -> np.ndarray:
-    """An (n, k) matrix, or a (groups, n, k) stack of them left in its own layout."""
+    """An (n, k) matrix, or a (groups, n, k) stack of them left in its own layout; k >= 1."""
     if isinstance(gradients, np.ndarray) and gradients.ndim == 3:
-        return np.asarray(gradients, dtype=np.float64)
+        return _with_width(np.asarray(gradients, dtype=np.float64))
     return as_gradient_matrix(gradients)
 
 
@@ -441,8 +441,15 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
     colluding points at honest_mean + adversary_scale * (random unit
     direction), then measures ||A(x) - honest_mean|| divided by the largest
     honest pairwise distance. Degenerate trials (zero denominator) are
-    skipped and counted.
+    skipped and counted. Every argument is checked before anything is drawn,
+    and at least 2 honest points are required: one has no pairwise distance.
     """
+    try:
+        _check_f(spec, n, f)
+    except ValueError as exc:
+        raise ValueError(f"f must be within the rule's bound: {exc}") from None
+    if n - f < 2:
+        raise ValueError(f"n must be >= f + 2, for at least 2 honest points, got n={n}, f={f}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if dim < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -127,9 +128,13 @@ def _derive_sweep_seed(master_seed: int, axis: str, index: int) -> int:
 def cmd_sweep(args) -> int:
     try:
         base_cfg = parse_config(Path(args.config).read_text())
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        if not values:
+        texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
+        if not texts:
             raise ConfigError("values", "no sweep values given")
+        values = [float(v) for v in texts]
+        for text, value in zip(texts, values):
+            if not math.isfinite(value):
+                raise ConfigError("values", f"sweep values must be finite, got {text}")
         if args.axis not in SWEEP_AXES:
             raise ConfigError("axis", f"expected one of {SWEEP_AXES}, got {args.axis!r}")
         names = [f"{args.axis}_{format(value, 'g')}" for value in values]

@@ -8,11 +8,14 @@ derives labeled child streams from it.
 The overflow policy lives here once: every defense's entry scales a matrix
 by the power of two `scale_exponents` gives it, so the distance kernels
 below only ever see entries under `SCALE_LIMIT`. So does the working-memory
-budget of every blockwise loop: `block_rows` sizes its blocks to `BLOCK_BYTES`.
+policy: `block_rows` sizes every blockwise loop's blocks to `BLOCK_BYTES`,
+and importing this module fixes glibc's malloc thresholds, so the pages a
+round frees are reused by the next round instead of faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from dataclasses import dataclass
 
@@ -137,8 +140,8 @@ def as_gradient_matrix(gradients) -> np.ndarray:
 
 
 def _with_width(x: np.ndarray) -> np.ndarray:
-    """`x`, an (n, d) matrix, checked to have d >= 1 coordinates."""
-    if x.shape[1] == 0:
+    """`x`, an (n, d) matrix or a (groups, n, d) stack, checked to have d >= 1 coordinates."""
+    if x.shape[-1] == 0:
         raise ValueError(f"gradients need at least one coordinate, got shape {x.shape}")
     return x
 
@@ -152,6 +155,39 @@ BLOCK_BYTES = 1 << 18
 def block_rows(row_bytes: int) -> int:
     """Rows of `row_bytes` bytes each that fit one `BLOCK_BYTES` block, at least 1."""
     return max(1, BLOCK_BYTES // row_bytes)
+
+
+# glibc serves blocks of at least MMAP_THRESHOLD bytes from fresh mappings,
+# unmapped on free, and hands the heap top back to the OS once more than
+# TRIM_THRESHOLD of it is free. Its dynamic rule raises both only after a
+# large block is freed, so they trail a round's ~11 MB of arrays at d = 1e4
+# and every round faults its pages in again. 32 MiB is the ceiling of that
+# rule on 64-bit and 64 MiB its own 2x ratio. Both are needed: fixing the
+# trim threshold alone freezes the mmap threshold at 128 KiB, and fixing the
+# mmap threshold alone leaves the top trimmed at 128 KiB.
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+
+
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; do nothing under any other C library.
+
+    Only a C library exporting both `mallopt` and `gnu_get_libc_version` is
+    glibc (musl's `mallopt` is a stub). Never raises.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no dlopen(NULL), as on Windows
+        return
+    if hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version"):
+        mallopt = libc.mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_set_malloc_thresholds()
 
 
 # The peak |entry| a defense's kernels take. DnC's power iteration squares

@@ -217,10 +217,17 @@ def test_sweep_axis_defense_mismatch_exits_2(tmp_path, capsys):
     assert "gas" in capsys.readouterr().err
 
 
-def test_sweep_non_integer_value_for_integer_axis(tmp_path):
+def test_sweep_non_integer_value_for_integer_axis(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--axis", "p",
                  "--values", "1.5", "--out", str(tmp_path / "o")]) == 2
+    # a non-finite value, on any axis, is a config error that names the field
+    for axis, value in [("p", "inf"), ("p", "1e400"), ("f", "inf"), ("n", "nan"), ("beta", "-inf")]:
+        assert main(["sweep", "--config", str(cfg), "--axis", axis,
+                     "--values", f"4,{value}", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"values: sweep values must be finite, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_p_above_model_dimension_exits_2(tmp_path, capsys):
@@ -280,12 +287,15 @@ def test_certify_constraint_violation_exits_2(capsys):
     assert "4f+2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,field", [("--dim", "0", "dim"), ("--scale", "nan", "adversary_scale")])
+@pytest.mark.parametrize("flag,value,field", [("--dim", "0", "dim"), ("--scale", "nan", "adversary_scale"),
+                                              ("--f", "7", "f"), ("--n", "1", "n")])
 def test_certify_degenerate_setup_exits_2(flag, value, field, capsys):
-    # either would skip or poison every trial and report lambda_hat = nan
-    assert main(["certify", "--rule", "median", "--n", "5", "--f", "1",
+    # each would skip or poison every trial and report lambda_hat = nan, or
+    # fail inside the first draw (n - f < 0 honest rows)
+    assert main(["certify", "--rule", "median", "--n", "5", "--f", "0",
                  "--trials", "5", "--seed", "1", flag, value]) == 2
-    assert f"{field} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"invalid certification setup: {field} must be" in err and "Traceback" not in err
 
 
 def test_certify_reproducible(tmp_path):

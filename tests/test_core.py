@@ -1,9 +1,11 @@
+import platform
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gasfl.aggregators import AggregatorSpec, aggregate
+from gasfl import core
+from gasfl.aggregators import AggregatorSpec, aggregate, aggregate_with_selection
 from gasfl.core import IndexPartition, SeedSpec, as_gradient_matrix, check_server_ingress, make_partition
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
 
@@ -193,6 +195,11 @@ def test_zero_width_uploads_are_rejected():
             call(empty)
     with pytest.raises(ValueError, match="at least one coordinate"):
         as_gradient_matrix([[], []])
+    # a (groups, n, 0) stack too, before any rule reduces over it
+    for kind in ("mean", "median", "multi_krum"):
+        for call in (aggregate, aggregate_with_selection):
+            with pytest.raises(ValueError, match=r"at least one coordinate, got shape \(2, 5, 0\)"):
+                call(AggregatorSpec(kind), np.empty((2, 5, 0)), 1)
     # zero rows stay allowed: `craft` reports them itself
     assert as_gradient_matrix(np.empty((0, 4))).shape == (0, 4)
 
@@ -211,3 +218,53 @@ def test_generator_matches_list_entropy():
             fast = spec.generator()
             assert fast.bit_generator.state == listed.bit_generator.state
             assert np.array_equal(fast.integers(0, 2**63, 64), listed.integers(0, 2**63, 64))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_freed_round_arrays_are_reused_without_page_faults():
+    # the arrays a d = 1e4 round holds at once: two (40, d) honest copies, the
+    # (10, d) crafted rows and the (50, d) stacked uploads. With glibc's
+    # dynamic thresholds each free trimmed the heap and the next round faulted
+    # about 2,700 pages back in.
+    resource = pytest.importorskip("resource")
+
+    def round_arrays():
+        held = [np.full((rows, 10_000), 1.0) for rows in (40, 40, 10, 50)]
+        del held
+
+    for _ in range(5):
+        round_arrays()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        round_arrays()
+    per_round = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+    assert per_round < 50, f"{per_round:.0f} page faults per round"
+
+
+class _FakeLibc:
+    """A C library exporting only the named symbols, each recording its calls."""
+
+    def __init__(self, symbols):
+        self.calls = []
+        for name in symbols:
+            setattr(self, name, lambda *args, name=name: self.calls.append((name, args)))
+
+
+@pytest.mark.parametrize("symbols, calls", [
+    (("mallopt", "gnu_get_libc_version"), [("mallopt", (-3, 32 << 20)), ("mallopt", (-1, 64 << 20))]),
+    (("gnu_get_libc_version",), []),  # mallopt patched out
+    (("mallopt",), []),               # a stub mallopt, as in musl
+    (None, []),                       # no dlopen(NULL), as on Windows
+])
+def test_malloc_thresholds_set_only_under_glibc(monkeypatch, symbols, calls):
+    libc = _FakeLibc(symbols or ())
+
+    def cdll(name):
+        if symbols is None:
+            raise OSError("no dlopen(NULL)")
+        return libc
+
+    monkeypatch.setattr(core.ctypes, "CDLL", cdll)
+    core._set_malloc_thresholds()
+    # M_MMAP_THRESHOLD is mallopt parameter -3 and M_TRIM_THRESHOLD -1
+    assert libc.calls == calls
