@@ -13,7 +13,7 @@ import numpy as np
 from gasfl.aggregators import AggregatorSpec
 from gasfl.attacks import AttackSpec
 from gasfl.core import SeedSpec
-from gasfl.simulation import (ExperimentConfig, GasDefense, PlainDefense, init_run, run_round)
+from gasfl.simulation import ExperimentConfig, GasDefense, PlainDefense, run_single
 
 ROUNDS = 60
 defenses = {
@@ -27,12 +27,7 @@ histories = {}
 for name, defense in defenses.items():
     cfg = ExperimentConfig(n_clients=50, n_byzantine=10, rounds=ROUNDS, repeats=1,
                            master_seed=123, attack=AttackSpec("lie"), defense=defense)
-    state = init_run(cfg, SeedSpec(123).child("repeat", 0))
-    rows = []
-    for t in range(ROUNDS):
-        state.w, rec = run_round(state, cfg, t)
-        rows.append(rec)
-    histories[name] = rows
+    histories[name] = run_single(cfg, SeedSpec(123).child("repeat", 0))
 
 print(f"{'round':>5s} " + " ".join(f"{name:>12s}" for name in histories))
 for t in range(0, ROUNDS, 6):

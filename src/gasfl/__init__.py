@@ -16,6 +16,6 @@ from .gas import GasConfig, KnownF, ScoreTable, SelectionResult, gas_aggregate
 from .models import Model
 from .simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
                          PlainDefense, RoundRecord, TrainerConfig, local_train,
-                         run_experiment, run_round, run_single)
+                         run_experiment, run_round, run_single, server_step)
 
 __version__ = "0.1.0"

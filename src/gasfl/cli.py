@@ -92,7 +92,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         _execute_run(cfg, Path(args.out))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -115,6 +115,8 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentCon
 
 
 def _as_int(axis: str, value: float) -> int:
+    if not -2**63 <= value < 2**63:
+        raise ConfigError("values", f"axis {axis!r} takes integers within int64, got {value}")
     if value != int(value):
         raise ConfigError("values", f"axis {axis!r} takes integers, got {value}")
     return int(value)
@@ -131,9 +133,13 @@ def cmd_sweep(args) -> int:
         texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
         if not texts:
             raise ConfigError("values", "no sweep values given")
-        values = [float(v) for v in texts]
-        for text, value in zip(texts, values):
-            if not math.isfinite(value):
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigError("values", f"sweep values must be numbers, got {text}") from None
+            if not math.isfinite(values[-1]):
                 raise ConfigError("values", f"sweep values must be finite, got {text}")
         if args.axis not in SWEEP_AXES:
             raise ConfigError("axis", f"expected one of {SWEEP_AXES}, got {args.axis!r}")
@@ -169,7 +175,7 @@ def cmd_sweep(args) -> int:
                 final = recs[-1].test_accuracy
                 mean_dev = sum(r.deviation for r in recs) / len(recs)
                 lines.append(",".join([_fmt(value), str(repeat), _fmt(best), _fmt(final), _fmt(mean_dev)]))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     _write(out_dir / "sweep.csv", "\n".join(lines) + "\n")

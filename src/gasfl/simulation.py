@@ -4,7 +4,9 @@ One round samples clients, runs local SGD on honest clients, lets the attack
 replace the Byzantine uploads, aggregates with the configured defense, and
 applies the aggregate with server learning rate 1. Every random choice is a
 labeled child of the run seed, so rounds are pure functions of (config,
-seed, t) and a whole run is reproducible from its config and seed.
+seed, t) and a whole run is reproducible from its config and seed. `run_round`
+trains the uploads and hands them to `server_step`, the server's half of a
+round; a training-free round feeds it `SyntheticGradientModel` rows instead.
 
 Local SGD runs once per round for all training clients together:
 `local_train` steps every client's parameters as rows of one (k, d) array
@@ -20,6 +22,7 @@ Seed derivation used by one run (all children of the per-repeat run seed):
   model init      -> "model_init"
   round t sample  -> ("sample", t)
   client training -> ("train", t) then ("client", client_id)
+and those read by server_step:
   attack crafting -> ("attack", t)
   defense streams -> "gas" (partitions), ("agr", t), ("bucketing", t)
 """
@@ -340,44 +343,44 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
     started = time.perf_counter()
     sampled = _sample_clients(cfg, state, t)
     byz_mask = np.isin(sampled, list(state.byz_ids))
-    honest_clients = sampled[~byz_mask]
-    byz_clients = sampled[byz_mask]
-    if honest_clients.size == 0:
+    if byz_mask.all():
         raise ValueError(f"round {t}: no honest client sampled")
 
     needs_own = cfg.attack.kind in OWN_GRADIENT_KINDS
-    train_ids = sampled if needs_own else honest_clients
+    train_ids = sampled if needs_own else sampled[~byz_mask]
     train_seed = state.seed.child("train", t)
     updates = local_train(state.model, state.w, state.shards.take(train_ids), cfg.trainer,
                           [train_seed.child("client", c) for c in train_ids],
                           flip_labels=byz_mask if cfg.attack.kind == "label_flip" else None)
+    honest, own = (updates[~byz_mask], updates[byz_mask]) if needs_own else (updates, None)
 
-    honest_matrix = updates[~byz_mask] if needs_own else updates
-    byz_true = updates[byz_mask] if (needs_own and byz_clients.size) else None
-    ctx = AttackContext(honest_gradients=honest_matrix, byz_count=int(byz_clients.size),
-                        byz_true_gradients=byz_true)
-    crafted = craft(cfg.attack, ctx, state.seed.child("attack", t))
+    agg, deviation, ratio, byz_in, f_excess = server_step(cfg.defense, cfg.attack, honest,
+                                                          byz_mask, state.seed, t, own)
+    new_w = state.w - agg
+    accuracy = state.model.accuracy(new_w, state.test.features, state.test.labels)
+    record = RoundRecord(t, accuracy, deviation, ratio, byz_in, f_excess, time.perf_counter() - started)
+    return new_w, record
 
-    uploads = np.empty((sampled.size, state.w.size))
-    uploads[~byz_mask] = honest_matrix
-    if byz_clients.size:
-        uploads[byz_mask] = crafted
+
+def server_step(defense: Defense, attack: AttackSpec, honest: np.ndarray, byz_mask: np.ndarray,
+                seed: SeedSpec, t: int, own: np.ndarray | None = None
+                ) -> tuple[np.ndarray, float, float, int, int]:
+    """Round t's server side: craft, stack, check at ingress, defend and score.
+
+    `byz_mask` flags the Byzantine positions of the upload order, `honest` holds the
+    other rows in that order and `own` the Byzantine rows' own gradients. Returns
+    (aggregate, deviation, honest inclusion ratio, Byzantine inclusion count, f_excess).
+    """
+    f = int(byz_mask.sum())
+    crafted = craft(attack, AttackContext(honest, f, own), seed.child("attack", t))
+    uploads = np.empty((byz_mask.size, honest.shape[1]))
+    uploads[~byz_mask] = honest
+    uploads[byz_mask] = crafted
     check_server_ingress(uploads)
 
-    agg, selected, f_excess = _defend(cfg.defense, uploads, int(byz_clients.size), state.seed, t)
-    new_w = state.w - agg
-
+    agg, selected, f_excess = _defend(defense, uploads, f, seed, t)
     ratio, byz_in = inclusion_metrics(selected, byz_mask)
-    record = RoundRecord(
-        round=t,
-        test_accuracy=state.model.accuracy(new_w, state.test.features, state.test.labels),
-        deviation=deviation_metric(agg, honest_matrix),
-        honest_inclusion_ratio=ratio,
-        byz_inclusion_count=byz_in,
-        f_excess=f_excess,
-        wall_time=time.perf_counter() - started,
-    )
-    return new_w, record
+    return agg, deviation_metric(agg, honest), ratio, byz_in, f_excess
 
 
 def _base_input(defense: Defense, n: int, f: int) -> tuple[int, int]:
@@ -452,5 +455,5 @@ __all__ = [
     "TrainerConfig", "DataConfig", "PlainDefense", "GasDefense", "BucketedDefense",
     "ExperimentConfig", "RoundRecord", "ExperimentSummary", "RunState",
     "local_train", "deviation_metric", "inclusion_metrics",
-    "init_run", "run_round", "run_single", "run_experiment",
+    "init_run", "run_round", "server_step", "run_single", "run_experiment",
 ]

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from gasfl.aggregators import AggregatorSpec, aggregate, estimate_resilience, max_f
-from gasfl.attacks import AttackContext, AttackSpec, craft
+from gasfl.attacks import AttackSpec
 from gasfl.checks import run_suite
 from gasfl.cli import main
 from gasfl.core import SeedSpec
 from gasfl.data import SyntheticGradientModel
 from gasfl.gas import GasConfig, KnownF, gas_aggregate
 from gasfl.models import Model, finite_difference_grad
-from gasfl.simulation import (ExperimentConfig, GasDefense, PlainDefense, run_experiment)
+from gasfl.simulation import (ExperimentConfig, GasDefense, PlainDefense, run_experiment,
+                              server_step)
 
 DESK_SEED = 20260810
 
@@ -113,25 +114,20 @@ def test_A4_resilience_certification():
 
 @pytest.fixture(scope="module")
 def exclusion_instance():
-    n, f, d, p, rounds = 50, 10, 1024, 16, 100
+    n, f, d, rounds = 50, 10, 1024, 100
     model = SyntheticGradientModel(dim=d, n_honest=n - f, kappa=1.0, sigma=0.5, seed=SeedSpec(505))
-    cfg = GasConfig(p=p, base=AggregatorSpec("median"), selection=KnownF(f), seed=SeedSpec(506))
-    lie = AttackSpec("lie", z=1.5)
+    gas, median = GasDefense(AggregatorSpec("median"), p=16), PlainDefense(AggregatorSpec("median"))
+    lie, seed = AttackSpec("lie", z=1.5), SeedSpec(506)
     byz_mask = np.arange(n) >= n - f
     started = time.perf_counter()
-    byz_in, honest_ratio, dev_gas, dev_med = [], [], [], []
+    rows = []
     for t in range(rounds):
         honest = model.sample_round(t)
-        crafted = craft(lie, AttackContext(honest, f), SeedSpec(507).child("attack", t))
-        uploads = np.vstack([honest, crafted])
-        agg, _, sel, _ = gas_aggregate(cfg, uploads, round=t)
-        byz_in.append(int(byz_mask[sel.selected].sum()))
-        honest_ratio.append((~byz_mask[sel.selected]).sum() / (n - f))
-        hmean = honest.mean(axis=0)
-        dev_gas.append(float(np.linalg.norm(agg - hmean)))
-        dev_med.append(float(np.linalg.norm(aggregate(AggregatorSpec("median"), uploads, 0) - hmean)))
-    return {"byz_in": np.mean(byz_in), "honest_ratio": np.mean(honest_ratio),
-            "dev_gas": np.mean(dev_gas), "dev_med": np.mean(dev_med),
+        _, dev_gas, ratio, byz_in, _ = server_step(gas, lie, honest, byz_mask, seed, t)
+        _, dev_med, _, _, _ = server_step(median, lie, honest, byz_mask, seed, t)
+        rows.append((byz_in, ratio, dev_gas, dev_med))
+    byz_in, honest_ratio, dev_gas, dev_med = (np.mean(column) for column in zip(*rows))
+    return {"byz_in": byz_in, "honest_ratio": honest_ratio, "dev_gas": dev_gas, "dev_med": dev_med,
             "elapsed": time.perf_counter() - started}
 
 

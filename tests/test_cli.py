@@ -227,7 +227,29 @@ def test_sweep_non_integer_value_for_integer_axis(tmp_path, capsys):
                      "--values", f"4,{value}", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"values: sweep values must be finite, got {value}" in err and "Traceback" not in err
+    # so are a value that is no number and an integer outside int64
+    for axis, values, needle in [("p", "4,abc", "sweep values must be numbers, got abc"),
+                                 ("n", "4,1e300", "axis 'n' takes integers within int64, got 1e+300"),
+                                 ("f", "1,-1e19", "axis 'f' takes integers within int64, got -1e+19")]:
+        assert main(["sweep", "--config", str(cfg), "--axis", axis,
+                     "--values", values, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"values: {needle}" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, args", [("run", []), ("sweep", ["--axis", "n", "--values", "6"])])
+def test_config_too_big_to_allocate_exits_3(tmp_path, capsys, monkeypatch, command, args):
+    # n_clients = 10**18 passes every parse-time check and fails in numpy's
+    # allocator; the stub raises what that allocation raises, allocating nothing
+    def too_big(cfg):
+        raise MemoryError("Unable to allocate 6.94 EiB for an array with shape (10**18,)")
+
+    monkeypatch.setattr("gasfl.cli.run_experiment", too_big)
+    cfg = _write_config(tmp_path)
+    assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: Unable to allocate 6.94 EiB") and "Traceback" not in err
 
 
 def test_sweep_p_above_model_dimension_exits_2(tmp_path, capsys):

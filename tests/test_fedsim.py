@@ -17,7 +17,7 @@ from gasfl.reference import (dirichlet_shards_reference, local_train_reference,
 from gasfl.simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
                               PlainDefense, TrainerConfig, _defend, _sample_clients,
                               deviation_metric, inclusion_metrics, init_run, local_train,
-                              run_experiment, run_round, run_single)
+                              run_experiment, run_round, run_single, server_step)
 
 SMALL_DATA = DataConfig(n_classes=3, n_features=8, per_class=30, r_sep=6.0, noise=1.0,
                         beta=0.5, test_per_class=40)
@@ -493,6 +493,29 @@ def test_gas_delta_drop_count_is_clamped():
     cfg = _small_cfg(n=10, f=2, rounds=3, client_sample_ratio=0.5,
                      defense=GasDefense(AggregatorSpec("median"), p=4, delta=0.45))
     assert [r.f_excess for r in run_single(cfg, SeedSpec(4))] == [1, 1, 1]
+
+
+# the server step on hand-built uploads ---------------------------------------------
+
+@pytest.mark.parametrize("f", [0, 1, 3])
+def test_server_step_ipm_against_the_mean(f):
+    # ipm sends -eps * hbar from f of n positions, so the mean lands
+    # (f / n)(1 + eps) hbar away from the honest mean hbar
+    n, eps, seed = 8, 0.7, SeedSpec(9)
+    honest = np.random.default_rng(8).standard_normal((n - f, 5)) + 1.0
+    byz_mask = np.isin(np.arange(n), [1, 4, 6][:f])
+    mean = PlainDefense(AggregatorSpec("mean"))
+    agg, deviation, ratio, byz_in, f_excess = server_step(mean, AttackSpec("ipm", epsilon=eps),
+                                                          honest, byz_mask, seed, 0)
+    hbar = honest.mean(axis=0)
+    assert deviation == pytest.approx(f / n * (1 + eps) * np.linalg.norm(hbar), rel=1e-12, abs=0)
+    assert (ratio, byz_in, f_excess) == (1.0, f, 0)
+    bit_flip = AttackSpec("bit_flip")
+    if f:
+        with pytest.raises(ValueError, match="bit_flip needs the Byzantine clients' own gradients"):
+            server_step(mean, bit_flip, honest, byz_mask, seed, 0)
+    else:  # no row is crafted, so no Byzantine client's own gradient is needed
+        assert np.array_equal(server_step(mean, bit_flip, honest, byz_mask, seed, 0)[0], agg)
 
 
 # GAS with an unknown f: ceil(delta * n) dropped --------------------------------
