@@ -48,6 +48,8 @@ def run_suite(suite: str, seed: SeedSpec, instances: int = 1000,
               inject_fault: bool = False) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown oracle suite {suite!r}, expected one of {SUITES}")
+    if instances < 1:  # zero instances would report a pass without checking anything
+        raise ValueError(f"instances must be >= 1, got {instances}")
     worst, first_bad = 0.0, None
     tol = SPECTRAL_TOL if suite in ("weiszfeld", "dnc") else EXACT_TOL
     for k in range(instances):

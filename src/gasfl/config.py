@@ -5,8 +5,8 @@ attack / defense); the full schema is documented in the README. The schema
 is read off the dataclasses, so each default and each bound lives once, in
 the dataclass that owns it. Parsing is one walk over each section's
 `dataclasses.fields`: a field without a default is required, an `X | None`
-field may be null, an int widens to float, and a dataclass-typed field is a
-nested section. Every error names the dotted field, as
+field may be null, an int widens to float, an int field holds an int64, and a
+dataclass-typed field is a nested section. Every error names the dotted field, as
 `<section>.<field>: <reason>`. Emission is canonical (sorted keys, two-space
 indent, trailing newline), so emit(parse(f)) == f for canonical files and all
 downstream outputs are byte-reproducible.
@@ -89,6 +89,8 @@ def _scalar(section: dict, name: str, tp, path: str, required: bool):
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
     if kind is float and not math.isfinite(value):  # JSON's NaN passes every `<= 0` bound
         raise ConfigError(path, f"must be finite, got {value}")
+    if kind is int and not -2**63 <= value < 2**63:  # numpy and SeedSpec's mask stop there
+        raise ConfigError(path, "must lie within int64 [-2**63, 2**63)")
     return value
 
 
@@ -133,14 +135,22 @@ def _parse(cls, raw: dict, path: str):
     return _build(path, cls, kwargs)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; raises ConfigError on any problem."""
+def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+    """Parse and validate a config document; raises ConfigError on any problem.
+
+    `overrides` maps "<section>.<field>" document paths to values that replace
+    the file's before validation; a section the file omits is created.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be an object")
+    for dotted, value in (overrides or {}).items():
+        name, key = dotted.split(".")
+        if isinstance(section := raw.setdefault(name, {}), dict):  # else the walk reports it
+            section[key] = value
     # document section -> the ExperimentConfig fields it holds
     layout: dict[str, list[str]] = {}
     for name in _fields(ExperimentConfig):

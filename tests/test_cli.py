@@ -110,6 +110,13 @@ def test_gas_delta_sets_selection():
     ("trainer.weight_decay", -1e-4, "trainer.weight_decay: weight_decay "),
     # gas selection is set by delta alone; the former switch is no field
     ("defense.selection_mode", "ratio", "defense.selection_mode: unknown field"),
+    # an integer past int64 would fail in numpy's allocator or alias a seed
+    ("experiment.n_clients", 10**30, "experiment.n_clients: must lie within int64"),
+    ("experiment.rounds", 2**63, "experiment.rounds: must lie within int64"),
+    ("experiment.master_seed", 2**63, "experiment.master_seed: must lie within int64"),
+    ("experiment.master_seed", -2**63 - 1, "experiment.master_seed: must lie within int64"),
+    ("data.per_class", 2**63, "data.per_class: must lie within int64"),
+    ("trainer.batch_size", 2**63, "trainer.batch_size: must lie within int64"),
 ])
 def test_run_invalid_field_value_exits_2(tmp_path, capsys, path, value, needle):
     payload = json.loads(json.dumps(SMALL_CONFIG))
@@ -175,6 +182,24 @@ def test_run_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_seed_outside_int64_exits_2(tmp_path, capsys):
+    # 2**64 + 5 would draw the streams of seed 5 and record a seed it did not use
+    cfg = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--seed", str(2**64 + 5)]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.master_seed: must lie within int64" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+def test_master_seed_at_int64_bounds_parses(seed):
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    payload["experiment"]["master_seed"] = seed
+    assert parse_config(json.dumps(payload)).master_seed == seed
+    assert parse_config(json.dumps(SMALL_CONFIG), {"experiment.master_seed": seed}).master_seed == seed
+
+
 def test_run_seed_override_changes_output(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -214,7 +239,7 @@ def test_sweep_axis_defense_mismatch_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg), "--axis", "delta",
                  "--values", "0.1", "--out", str(tmp_path / "o")]) == 2
-    assert "gas" in capsys.readouterr().err
+    assert "defense.delta: unknown field" in capsys.readouterr().err
 
 
 def test_sweep_non_integer_value_for_integer_axis(tmp_path, capsys):
@@ -227,14 +252,14 @@ def test_sweep_non_integer_value_for_integer_axis(tmp_path, capsys):
                      "--values", f"4,{value}", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"values: sweep values must be finite, got {value}" in err and "Traceback" not in err
-    # so are a value that is no number and an integer outside int64
-    for axis, values, needle in [("p", "4,abc", "sweep values must be numbers, got abc"),
-                                 ("n", "4,1e300", "axis 'n' takes integers within int64, got 1e+300"),
-                                 ("f", "1,-1e19", "axis 'f' takes integers within int64, got -1e+19")]:
+    # so is a value that is no number; an integer outside int64 names its field
+    for axis, values, needle in [("p", "4,abc", "values: sweep values must be numbers, got abc"),
+                                 ("n", "4,1e300", "experiment.n_clients: must lie within int64"),
+                                 ("f", "1,-1e19", "experiment.n_byzantine: must lie within int64")]:
         assert main(["sweep", "--config", str(cfg), "--axis", axis,
                      "--values", values, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"values: {needle}" in err and "Traceback" not in err
+        assert needle in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -250,6 +275,33 @@ def test_config_too_big_to_allocate_exits_3(tmp_path, capsys, monkeypatch, comma
     assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: Unable to allocate 6.94 EiB") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, file_value, axis, sweep_value, message", [
+    ("experiment.n_clients", 10**300, "n", "1e300",
+     "experiment.n_clients: must lie within int64 [-2**63, 2**63)"),
+    ("defense.p", 2.5, "p", "2.5", "defense.p: expected int, got float"),
+    ("defense.delta", 0.1, "delta", "0.1", "defense.delta: unknown field"),
+], ids=["n", "p", "delta"])
+def test_file_and_sweep_reject_a_value_alike(tmp_path, capsys, path, file_value, axis, sweep_value, message):
+    # one validator: a bad value reads the same from a config file and from a sweep axis
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    if axis == "delta":
+        payload["defense"] = {"kind": "plain", "base": {"kind": "median"}}
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(payload))
+    section, key = path.split(".")
+    payload[section][key] = file_value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    from_file = capsys.readouterr().err
+    assert main(["sweep", "--config", str(base), "--axis", axis,
+                 "--values", sweep_value, "--out", str(tmp_path / "sweep")]) == 2
+    from_sweep = capsys.readouterr().err
+    assert from_file == f"invalid config: {message}\n"
+    assert from_sweep == f"invalid sweep: {message}\n"
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
 
 
 def test_sweep_p_above_model_dimension_exits_2(tmp_path, capsys):
@@ -320,6 +372,19 @@ def test_certify_degenerate_setup_exits_2(flag, value, field, capsys):
     assert f"invalid certification setup: {field} must be" in err and "Traceback" not in err
 
 
+def test_certify_too_big_to_allocate_exits_3(capsys, monkeypatch):
+    # --dim 1e11 fails in numpy's allocator; the stub raises what that
+    # allocation raises, allocating nothing
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.82 TiB for an array with shape (8, 100000000000)")
+
+    monkeypatch.setattr("gasfl.cli.estimate_resilience", too_big)
+    assert main(["certify", "--rule", "median", "--n", "10", "--f", "2",
+                 "--dim", "100000000000", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("certify failed: Unable to allocate 5.82 TiB") and "Traceback" not in err
+
+
 def test_certify_reproducible(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     args = ["certify", "--rule", "trimmed_mean", "--n", "9", "--f", "2",
@@ -336,6 +401,15 @@ def test_certify_reproducible(tmp_path):
 def test_oracle_suites_pass(suite, capsys):
     assert main(["oracle", "--suite", suite, "--seed", "3", "--instances", "60"]) == 0
     assert "max_discrepancy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite, instances", [("median", "0"), ("gas", "-3")])
+def test_oracle_without_instances_exits_2(suite, instances, capsys):
+    # no instance checked is no pass
+    assert main(["oracle", "--suite", suite, "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert f"invalid oracle suite: instances must be >= 1, got {instances}" in captured.err
+    assert "max_discrepancy" not in captured.out
 
 
 def test_oracle_injected_fault_detected(capsys):
