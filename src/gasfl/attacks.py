@@ -18,6 +18,7 @@ they hold one (n, d) array and O(n^2) more, never (n, n, d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,9 @@ class AttackSpec:
             raise ValueError(f"gamma_init must be positive, got {self.gamma_init}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("z", "gamma_init", "tau", "epsilon"):
+            if not math.isfinite(getattr(self, name)):  # an infinite gamma_init never halves
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

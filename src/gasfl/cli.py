@@ -16,7 +16,7 @@ from pathlib import Path
 from .aggregators import KINDS as AGR_KINDS
 from .aggregators import AggregatorSpec, estimate_resilience
 from .checks import SUITES, run_suite
-from .config import ConfigError, emit_config, emit_json, manifest, parse_config
+from .config import INT64, INT64_ERROR, ConfigError, emit_config, emit_json, manifest, parse_config
 from .core import SeedSpec
 from .simulation import ExperimentConfig, RoundRecord, run_experiment
 
@@ -25,6 +25,14 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 # sweep axis -> the config field it sets
 SWEEP_AXES = {"p": "defense.p", "delta": "defense.delta", "beta": "data.beta",
               "f": "experiment.n_byzantine", "n": "experiment.n_clients"}
+
+
+def int64(text: str) -> int:
+    """argparse type of a seed flag; `run --seed` goes through the config parser instead."""
+    value = int(text)
+    if value not in INT64:
+        raise argparse.ArgumentTypeError(f"{INT64_ERROR}, got {value}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -220,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--f", type=int, required=True)
     p_cert.add_argument("--dim", type=int, default=4)
     p_cert.add_argument("--trials", type=int, default=1000)
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--seed", type=int64, default=0)
     p_cert.add_argument("--scale", type=float, default=1e3, help="adversary distance from the honest mean")
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certify)
 
     p_oracle = sub.add_parser("oracle", help="cross-check fast paths against brute-force references")
     p_oracle.add_argument("--suite", required=True, choices=SUITES)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=int64, default=0)
     p_oracle.add_argument("--instances", type=int, default=1000)
     p_oracle.add_argument("--inject-fault", action="store_true",
                           help="perturb one output to verify the check detects regressions")

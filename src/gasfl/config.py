@@ -31,6 +31,8 @@ from .simulation import BucketedDefense, Defense, ExperimentConfig, GasDefense, 
 _SCALAR_SECTIONS = ("experiment", "model")
 _MODEL_FIELDS = ("hidden", "init_scale")
 _DEFENSES = {"plain": PlainDefense, "gas": GasDefense, "bucketing": BucketedDefense}
+# the bound of every config integer and every seed flag: numpy and SeedSpec's 64-bit mask stop there
+INT64, INT64_ERROR = range(-2**63, 2**63), "must lie within int64 [-2**63, 2**63)"
 
 
 class ConfigError(ValueError):
@@ -89,8 +91,8 @@ def _scalar(section: dict, name: str, tp, path: str, required: bool):
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
     if kind is float and not math.isfinite(value):  # JSON's NaN passes every `<= 0` bound
         raise ConfigError(path, f"must be finite, got {value}")
-    if kind is int and not -2**63 <= value < 2**63:  # numpy and SeedSpec's mask stop there
-        raise ConfigError(path, "must lie within int64 [-2**63, 2**63)")
+    if kind is int and value not in INT64:
+        raise ConfigError(path, INT64_ERROR)
     return value
 
 

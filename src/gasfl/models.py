@@ -1,8 +1,9 @@
 """Differentiable classifiers over a single flat parameter vector.
 
-The default model is a softmax linear classifier (weights then biases in the
-flat layout, d = C*m + C). Setting `hidden` switches to a one-hidden-layer
-tanh network with layout [W1, b1, W2, b2]. Loss is mean cross-entropy;
+A model is L dense layers over the widths (m, [hidden], C), with tanh on
+every layer but the last and the flat layout [W1, b1, ..., W_L, b_L], W_l
+of shape (n_l, n_{l-1}). The default softmax linear classifier is L = 1
+(d = C*m + C); setting `hidden` makes L = 2. Loss is mean cross-entropy;
 gradients are analytic and checked against finite differences in the tests.
 
 `Model.grads` computes the gradients of many clients at once from padded
@@ -32,40 +33,37 @@ class Model:
     hidden: int | None = None
 
     def __post_init__(self):
+        for name, least in (("n_classes", 2), ("n_features", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError(f"hidden must be >= 1 or null, got {self.hidden}")
 
     @property
+    def _shapes(self) -> list[tuple[int, int]]:
+        """(n_in, n_out) of each layer: [(m, C)], or [(m, h), (h, C)] with a hidden layer."""
+        hidden = [] if self.hidden is None else [self.hidden]
+        widths = [self.n_features, *hidden, self.n_classes]
+        return list(zip(widths, widths[1:]))
+
+    @property
     def dim(self) -> int:
-        c, m = self.n_classes, self.n_features
-        if self.hidden is None:
-            return c * m + c
-        h = self.hidden
-        return h * m + h + c * h + c
+        return sum(n_out * n_in + n_out for n_in, n_out in self._shapes)
 
     def init_params(self, seed: SeedSpec, scale: float = 0.3) -> np.ndarray:
         return scale * seed.child("init").generator().standard_normal(self.dim)
 
-    def _unpack(self, w: np.ndarray):
-        """Views of the layers of w (d,) or of each row of w (k, d)."""
-        c, m = self.n_classes, self.n_features
-        lead = w.shape[:-1]
-        if self.hidden is None:
-            return w[..., : c * m].reshape(*lead, c, m), w[..., c * m :]
-        h = self.hidden
-        parts = np.split(w, np.cumsum([h * m, h, c * h]), axis=-1)
-        return (parts[0].reshape(*lead, h, m), parts[1],
-                parts[2].reshape(*lead, c, h), parts[3])
+    def _unpack(self, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, bias) views of each layer of w (d,) or of each row of w (k, d)."""
+        lead, layers, start = w.shape[:-1], [], 0
+        for n_in, n_out in self._shapes:
+            stop = start + n_out * n_in
+            layers.append((w[..., start:stop].reshape(*lead, n_out, n_in), w[..., stop:stop + n_out]))
+            start = stop + n_out
+        return layers
 
     def logits(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
-        if self.hidden is None:
-            weights, bias = self._unpack(w)
-            z = features @ weights.T
-            z += bias
-            return z
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(features @ w1.T + b1)
-        return hidden @ w2.T + b2
+        return _forward(self._unpack(w), features)[-1]
 
     def loss(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         z = self.logits(w, features)
@@ -76,22 +74,17 @@ class Model:
     def grad(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Analytic gradient of the mean cross-entropy loss at w."""
         n = features.shape[0]
-        if self.hidden is None:
-            weights, bias = self._unpack(w)
-            probs = _softmax(features @ weights.T + bias)
-            probs[np.arange(n), labels] -= 1.0
-            probs /= n
-            return np.concatenate([(probs.T @ features).ravel(), probs.sum(axis=0)])
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(features @ w1.T + b1)
-        probs = _softmax(hidden @ w2.T + b2)
-        probs[np.arange(n), labels] -= 1.0
-        probs /= n
-        d_hidden = (probs @ w2) * (1.0 - hidden * hidden)
-        return np.concatenate([
-            (d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
-            (probs.T @ hidden).ravel(), probs.sum(axis=0),
-        ])
+        layers = self._unpack(w)
+        inputs = _forward(layers, features)
+        delta = _softmax(inputs.pop())
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+        parts = []
+        for i in reversed(range(len(layers))):
+            parts[:0] = [(delta.T @ inputs[i]).ravel(), delta.sum(axis=0)]
+            if i:
+                delta = (delta @ layers[i][0]) * (1.0 - inputs[i] * inputs[i])
+        return np.concatenate(parts)
 
     def grads(self, ws: np.ndarray, features: np.ndarray, labels: np.ndarray,
               counts: np.ndarray) -> np.ndarray:
@@ -105,33 +98,37 @@ class Model:
         """
         k = features.shape[0]
         runs = _equal_runs(counts)
-        if self.hidden is None:
-            weights, bias = self._unpack(ws)
-            z = _rows_matmul(features, weights.swapaxes(1, 2), runs)
+        layers = self._unpack(ws)
+        inputs = [features]
+        for i, (weights, bias) in enumerate(layers):
+            z = _rows_matmul(inputs[i], weights.swapaxes(1, 2), runs)
             z += bias[:, None, :]
-            probs = _softmax(z)
-            _loss_slope(probs, labels, counts)
-            return np.concatenate([_rows_contract(probs, features, runs).reshape(k, -1),
-                                   _rows_sum(probs, runs)], axis=1)
-        w1, b1, w2, b2 = self._unpack(ws)
-        hidden = _rows_matmul(features, w1.swapaxes(1, 2), runs)
-        hidden += b1[:, None, :]
-        np.tanh(hidden, out=hidden)
-        z = _rows_matmul(hidden, w2.swapaxes(1, 2), runs)
-        z += b2[:, None, :]
-        probs = _softmax(z)
-        _loss_slope(probs, labels, counts)
-        d_hidden = _rows_matmul(probs, w2, runs) * (1.0 - hidden * hidden)
-        return np.concatenate([
-            _rows_contract(d_hidden, features, runs).reshape(k, -1), _rows_sum(d_hidden, runs),
-            _rows_contract(probs, hidden, runs).reshape(k, -1), _rows_sum(probs, runs),
-        ], axis=1)
-
-    def predict(self, w: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return self.logits(w, features).argmax(axis=1)
+            if i < len(layers) - 1:
+                np.tanh(z, out=z)
+            inputs.append(z)
+        delta = _softmax(inputs.pop())
+        _loss_slope(delta, labels, counts)
+        parts = []
+        for i in reversed(range(len(layers))):
+            parts[:0] = [_rows_contract(delta, inputs[i], runs).reshape(k, -1), _rows_sum(delta, runs)]
+            if i:
+                delta = _rows_matmul(delta, layers[i][0], runs) * (1.0 - inputs[i] * inputs[i])
+        return np.concatenate(parts, axis=1)
 
     def accuracy(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        return float(np.mean(self.predict(w, features) == labels))
+        return float(np.mean(self.logits(w, features).argmax(axis=1) == labels))
+
+
+def _forward(layers, features: np.ndarray) -> list[np.ndarray]:
+    """The input of each layer, then the logits; tanh on every layer but the last."""
+    inputs = [features]
+    for i, (weights, bias) in enumerate(layers):
+        z = inputs[i] @ weights.T
+        z += bias
+        if i < len(layers) - 1:
+            np.tanh(z, out=z)
+        inputs.append(z)
+    return inputs
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ from gasfl import attacks
 from gasfl.attacks import AttackContext, AttackSpec, craft
 from gasfl.core import SeedSpec, pairwise_sq_dists
 
+INF, NAN = float("inf"), float("nan")
+
 
 def _rand(seed, n, d):
     return np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 1.0
@@ -202,6 +204,17 @@ def test_attack_spec_validation():
         AttackSpec("gradient_inversion")
     with pytest.raises(ValueError, match="positive"):
         AttackSpec("min_max", tau=0.0)
+
+
+# a NaN gamma_init or tau already fails its positivity check
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("z", "epsilon") for value in (INF, -INF, NAN)),
+    ("gamma_init", INF), ("tau", INF),
+])
+def test_attack_spec_rejects_non_finite(field, value):
+    # a non-finite spec value is the spec's error, not a client's at ingress
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        AttackSpec("min_max", **{field: value})
 
 
 def test_ipm_single_honest_allowed():

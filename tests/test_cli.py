@@ -36,14 +36,16 @@ def _write_config(tmp_path, overrides=None, name="config.json"):
 # run -------------------------------------------------------------------------
 
 def test_run_produces_outputs(tmp_path):
-    cfg = _write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = (out / "rounds.csv").read_text().strip().splitlines()
-    assert rows[0] == "round,repeat,accuracy,deviation,honest_ratio,byz_count,f_excess"
-    assert len(rows) - 1 == 2 * 2  # rounds x repeats
-    assert (out / "summary.txt").read_text().startswith("best_accuracy_mean = ")
-    assert (out / "manifest.json").exists() and (out / "timings.txt").exists()
+    # p = 40 fits only the hidden model: d = 51 with hidden 4, and 27 without
+    for name, overrides in [("linear", {}), ("hidden", {"model.hidden": 4, "defense.p": 40})]:
+        cfg = _write_config(tmp_path, overrides, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "rounds.csv").read_text().strip().splitlines()
+        assert rows[0] == "round,repeat,accuracy,deviation,honest_ratio,byz_count,f_excess"
+        assert len(rows) - 1 == 2 * 2  # rounds x repeats
+        assert (out / "summary.txt").read_text().startswith("best_accuracy_mean = ")
+        assert (out / "manifest.json").exists() and (out / "timings.txt").exists()
 
 
 def test_run_invalid_config_exits_2(tmp_path, capsys):
@@ -190,6 +192,27 @@ def test_run_seed_outside_int64_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "experiment.master_seed: must lie within int64" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+SEED_COMMANDS = {"certify": ["certify", "--rule", "median", "--n", "10", "--f", "2", "--trials", "3"],
+                 "oracle": ["oracle", "--suite", "median", "--instances", "3"]}
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_seed_flag_outside_int64_exits_2(command, capsys):
+    # SeedSpec's 64-bit mask would draw the streams of seed 5
+    with pytest.raises(SystemExit) as exc:
+        main([*SEED_COMMANDS[command], "--seed", str(2**64 + 5)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must lie within int64" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+def test_seed_flag_at_int64_bounds_runs(command, seed, capsys):
+    assert main([*SEED_COMMANDS[command], "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [2**63 - 1, -2**63])

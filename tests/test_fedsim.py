@@ -177,6 +177,18 @@ def test_model_dim_contract():
     assert Model(n_classes=3, n_features=4, hidden=5).dim == 5 * 4 + 5 + 3 * 5 + 3
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_classes": 1, "n_features": 4}, "n_classes must be >= 2, got 1"),  # zero gradients, accuracy 1
+    ({"n_classes": 0, "n_features": 4}, "n_classes must be >= 2, got 0"),
+    ({"n_classes": 3, "n_features": 0}, "n_features must be >= 1, got 0"),
+    ({"n_classes": 3, "n_features": -2}, "n_features must be >= 1, got -2"),
+    ({"n_classes": 3, "n_features": 4, "hidden": 0}, "hidden must be >= 1 or null, got 0"),
+], ids=["one_class", "no_class", "no_feature", "negative_features", "no_hidden_unit"])
+def test_model_rejects_degenerate_widths(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Model(**fields)
+
+
 # local training -----------------------------------------------------------------
 
 def _train_one(model, w, feats, labels, cfg, seed, flip_labels=False):
@@ -319,9 +331,10 @@ def test_multi_krum_excludes_separated_outliers_in_round():
 
 # round loop --------------------------------------------------------------------
 
-def test_fedavg_equivalence_straight_line_reference():
+@pytest.mark.parametrize("hidden", [None, 4])
+def test_fedavg_equivalence_straight_line_reference(hidden):
     # bit-identical re-derivation of the whole orchestration from public seeds
-    cfg = _small_cfg(n=6, f=0, rounds=10)
+    cfg = _small_cfg(n=6, f=0, rounds=10, hidden=hidden)
     state = init_run(cfg, SeedSpec(5).child("repeat", 0))
     w_ref = state.w.copy()
     model, shards, seed = state.model, state.shards, state.seed
