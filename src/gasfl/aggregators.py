@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedSpec, _with_width, as_gradient_matrix, pairwise_sq_dists, scale_exponents
+from .core import (SeedSpec, _with_width, as_gradient_matrix, l2_norm, pairwise_sq_dists,
+                   scale_exponents)
 
 KINDS = ("mean", "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median", "dnc")
 
@@ -471,7 +472,7 @@ def estimate_resilience(spec: AggregatorSpec, n: int, f: int, dim: int, trials: 
             skipped += 1
             continue
         out = aggregate(spec, points, f, seed=seed.child("trial_agg", t))
-        ratios.append(float(np.linalg.norm(out - center)) / max_dist)
+        ratios.append(l2_norm(out - center) / max_dist)
     lam = max(ratios) if ratios else float("nan")
     return ResilienceReport(kind=spec.kind, n=n, f=f, trials=trials, skipped=skipped,
                             lambda_hat=lam, ratios=tuple(ratios))

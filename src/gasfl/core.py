@@ -7,10 +7,11 @@ derives labeled child streams from it.
 
 The overflow policy lives here once: every defense's entry scales a matrix
 by the power of two `scale_exponents` gives it, so the distance kernels
-below only ever see entries under `SCALE_LIMIT`. So does the working-memory
-policy: `block_rows` sizes every blockwise loop's blocks to `BLOCK_BYTES`,
-and importing this module fixes glibc's malloc thresholds, so the pages a
-round frees are reused by the next round instead of faulted in again.
+below only ever see entries under `SCALE_LIMIT`, and the metric norms take
+`l2_norm`. So does the working-memory policy: `block_rows` sizes every
+blockwise loop's blocks to `BLOCK_BYTES`, and importing this module fixes
+glibc's malloc thresholds, so the pages a round frees are reused by the
+next round instead of faulted in again.
 """
 
 from __future__ import annotations
@@ -210,6 +211,22 @@ def scale_exponents(x: np.ndarray) -> np.ndarray:
     peak = np.maximum(x.max(axis=(-2, -1), keepdims=True), -x.min(axis=(-2, -1), keepdims=True))
     return np.where(np.isfinite(peak) & (peak >= SCALE_LIMIT), np.frexp(peak / SCALE_LIMIT)[1], 0)
 
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a vector, without its overflow on finite entries.
+
+    The plain norm squares the entries, so a finite vector whose norm passes
+    about 1.3e154 reads inf. Only then is the norm taken of the vector divided
+    by the power of two of its peak |entry| and scaled back; every other
+    vector, including one holding NaN or inf, keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+        if np.isinf(norm) and np.isfinite(v).all():
+            k = np.frexp(np.abs(v).max())[1]
+            norm = np.ldexp(np.linalg.norm(np.ldexp(v, -k)), k)
+    return float(norm)
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Squared l2 distances between the rows of an (n, k) matrix or a (..., n, k) stack.

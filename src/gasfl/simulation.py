@@ -24,7 +24,14 @@ Seed derivation used by one run (all children of the per-repeat run seed):
   client training -> ("train", t) then ("client", client_id)
 and those read by server_step:
   attack crafting -> ("attack", t)
-  defense streams -> "gas" (partitions), ("agr", t), ("bucketing", t)
+  PlainDefense    -> ("agr", t)
+  GasDefense      -> "gas" (partitions, drawn for round t)
+  BucketedDefense -> ("bucketing", t)
+
+Each defense states the count and rows it hands its base rule (`base_input`)
+and runs itself on one round's uploads (`apply`, which reads the stream
+above). `server_step` clamps that count at the rule's bound and returns the
+excess, so it dispatches on no defense type.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from . import gas as gas_mod
 from .aggregators import AggregatorSpec, _check_f, aggregate_with_selection, bucketing_wrap, max_f
 from .attacks import OWN_GRADIENT_KINDS, AttackContext, AttackSpec, craft
-from .core import SeedSpec, check_server_ingress
+from .core import SeedSpec, check_server_ingress, l2_norm
 from .data import ClientShards, SyntheticDataset, dirichlet_partition, generate_synthetic
 from .models import Model
 
@@ -106,12 +113,20 @@ class DataConfig:
 class PlainDefense:
     base: AggregatorSpec
 
+    def base_input(self, n: int, f: int) -> tuple[int, int]:
+        """(count, rows) the base rule is handed for n clients holding f Byzantine ones."""
+        return f, n
+
+    def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(aggregate, kept positions) of the base rule on stream ("agr", t)."""
+        return aggregate_with_selection(self.base, uploads, f, seed.child("agr", t))
+
 
 @dataclass(frozen=True)
 class GasDefense:
     """Split-gradient defense. With `delta` None the server knows each round's
     Byzantine count f and keeps n - f clients; otherwise f is unknown to it
-    and it drops ceil(delta * n) (see `_base_input`)."""
+    and it drops ceil(delta * n)."""
 
     base: AggregatorSpec
     p: int
@@ -121,12 +136,19 @@ class GasDefense:
     def __post_init__(self):
         if self.delta is not None and not 0.0 <= self.delta < 0.5:  # a NaN fails too
             raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
-        self.gas_config(0, SeedSpec(0))  # runs the p and partition_policy checks
+        # runs the p and partition_policy checks
+        gas_mod.GasConfig(self.p, self.base, gas_mod.KnownF(0), SeedSpec(0), self.partition_policy)
 
-    def gas_config(self, f: int, seed: SeedSpec) -> gas_mod.GasConfig:
-        """The GasConfig that hands the base rule f and keeps n - f clients."""
-        return gas_mod.GasConfig(p=self.p, base=self.base, selection=gas_mod.KnownF(f), seed=seed,
-                                 partition_policy=self.partition_policy)
+    def base_input(self, n: int, f: int) -> tuple[int, int]:
+        """(count, rows): f over n, or ceil(delta * n) over n whatever f is."""
+        return (f if self.delta is None else int(np.ceil(self.delta * n))), n
+
+    def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(aggregate, kept positions) of GAS keeping n - f, on stream "gas" at round t."""
+        config = gas_mod.GasConfig(self.p, self.base, gas_mod.KnownF(f), seed.child("gas"),
+                                   self.partition_policy)
+        agg, _, result, _ = gas_mod.gas_aggregate(config, uploads, round=t)
+        return agg, result.selected
 
 
 @dataclass(frozen=True)
@@ -137,6 +159,15 @@ class BucketedDefense:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
+
+    def base_input(self, n: int, f: int) -> tuple[int, int]:
+        """(count, rows): f over the ceil(n / s) bucket means."""
+        return f, -(-n // self.s)
+
+    def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(aggregate, every position) of bucketing on stream ("bucketing", t)."""
+        agg = bucketing_wrap(self.base, uploads, f, self.s, seed.child("bucketing", t))
+        return agg, np.arange(uploads.shape[0])
 
 
 Defense = Union[PlainDefense, GasDefense, BucketedDefense]
@@ -182,7 +213,7 @@ class ExperimentConfig:
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
             raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
-        f, rows = _base_input(self.defense, self.sample_size, self.n_byzantine)
+        f, rows = self.defense.base_input(self.sample_size, self.n_byzantine)
         # a partial round's count is clamped to the rule's bound, so only a sample
         # too small for the rule at f = 0 fails every round
         if self.sample_size < self.n_clients and max_f(self.defense.base, rows) < 0:
@@ -300,7 +331,7 @@ def deviation_metric(aggregate_vec: np.ndarray, honest_gradients: np.ndarray) ->
     honest = np.asarray(honest_gradients, dtype=np.float64)
     if honest.shape[0] == 0:
         raise ValueError("no honest gradients to compare against")
-    return float(np.linalg.norm(aggregate_vec - honest.mean(axis=0)))
+    return l2_norm(aggregate_vec - honest.mean(axis=0))
 
 
 def inclusion_metrics(selected: np.ndarray, byz_mask: np.ndarray) -> tuple[float, int]:
@@ -378,56 +409,17 @@ def server_step(defense: Defense, attack: AttackSpec, honest: np.ndarray, byz_ma
     uploads[byz_mask] = crafted
     check_server_ingress(uploads)
 
-    agg, selected, f_excess = _defend(defense, uploads, f, seed, t)
-    ratio, byz_in = inclusion_metrics(selected, byz_mask)
-    return agg, deviation_metric(agg, honest), ratio, byz_in, f_excess
-
-
-def _base_input(defense: Defense, n: int, f: int) -> tuple[int, int]:
-    """(Byzantine count, rows) the defense's base rule is handed for n clients
-    holding f Byzantine ones: f over n rows, except that GAS with `delta`
-    hands ceil(delta * n) whatever f is, and bucketing runs its rule over
-    ceil(n / s) bucket means."""
-    if isinstance(defense, GasDefense) and defense.delta is not None:
-        return int(np.ceil(defense.delta * n)), n
-    if isinstance(defense, BucketedDefense):
-        return f, -(-n // defense.s)
-    return f, n
-
-
-def _within_bound(spec: AggregatorSpec, n: int, f: int) -> int:
-    """f clamped into [0, max_f(spec, n)]; a rule that takes no f at n gets 0 and raises."""
-    return min(f, max(max_f(spec, n), 0))
-
-
-def _defend(defense: Defense, uploads: np.ndarray, f_round: int, seed: SeedSpec,
-            t: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(aggregate, kept positions, excess) of the defense on one round's uploads.
-
-    `_base_input` states the count the base rule needs and the rows it sees.
-    A sampled round can hold more Byzantine clients than the rule tolerates
-    at that size, and GAS's ceil(delta * n) can pass it too. The rule is then
-    handed its bound instead, and the excess is returned: the count the rule
-    would have needed minus the one it got. GAS keeps n minus the count it
-    was handed.
-    """
-    n = uploads.shape[0]
-    wanted, rows = _base_input(defense, n, f_round)
-    f = _within_bound(defense.base, rows, wanted)
+    # A sampled round can hold more Byzantine clients than the base rule tolerates
+    # at its rows, and GAS's ceil(delta * n) can pass it too. The rule is then handed
+    # its bound (0 if it takes no f at all, and raises), and the excess is returned.
+    wanted, rows = defense.base_input(byz_mask.size, f)
+    handed = min(wanted, max(max_f(defense.base, rows), 0))
     try:
-        if isinstance(defense, PlainDefense):
-            agg, selected = aggregate_with_selection(defense.base, uploads, f, seed.child("agr", t))
-            return agg, selected, wanted - f
-        if isinstance(defense, GasDefense):
-            agg, _, result, _ = gas_mod.gas_aggregate(defense.gas_config(f, seed.child("gas")),
-                                                      uploads, round=t)
-            return agg, result.selected, wanted - f
-        if isinstance(defense, BucketedDefense):
-            agg = bucketing_wrap(defense.base, uploads, f, defense.s, seed.child("bucketing", t))
-            return agg, np.arange(n), wanted - f
+        agg, selected = defense.apply(uploads, handed, seed, t)
     except ValueError as exc:
         raise ValueError(f"defense failed in round {t}: {exc}") from exc
-    raise ValueError(f"unknown defense {defense!r}")
+    ratio, byz_in = inclusion_metrics(selected, byz_mask)
+    return agg, deviation_metric(agg, honest), ratio, byz_in, wanted - handed
 
 
 def run_single(cfg: ExperimentConfig, seed: SeedSpec) -> list[RoundRecord]:

@@ -7,7 +7,6 @@ from gasfl.aggregators import KINDS as AGR_KINDS
 from gasfl.attacks import KINDS as ATTACK_KINDS
 from gasfl.cli import main
 from gasfl.config import ConfigError, emit_config, emit_json, manifest, parse_config
-from gasfl.simulation import _base_input
 
 SMALL_CONFIG = {
     "experiment": {"n_clients": 6, "n_byzantine": 1, "rounds": 2,
@@ -61,9 +60,9 @@ def test_run_missing_config_exits_2(tmp_path):
 def test_gas_delta_sets_selection():
     # (count handed to the base rule, rows) for 10 clients holding 1 Byzantine
     payload = json.loads(json.dumps(SMALL_CONFIG))
-    assert _base_input(parse_config(json.dumps(payload)).defense, 10, 1) == (1, 10)
+    assert parse_config(json.dumps(payload)).defense.base_input(10, 1) == (1, 10)
     payload["defense"]["delta"] = 0.3
-    assert _base_input(parse_config(json.dumps(payload)).defense, 10, 1) == (3, 10)
+    assert parse_config(json.dumps(payload)).defense.base_input(10, 1) == (3, 10)
 
 
 @pytest.mark.parametrize("path, value, needle", [
@@ -376,6 +375,14 @@ def test_certify_mean_f0_lambda_zero(capsys):
                  "--trials", "20", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "lambda_hat = 0" in out
+
+
+def test_certify_far_colluders_give_a_finite_lambda(capsys):
+    # colluders at 1e200 pull the mean about 1e199 away, a norm whose square
+    # passes the float range
+    assert main(["certify", "--rule", "mean", "--n", "10", "--f", "1",
+                 "--trials", "2", "--scale", "1e200"]) == 0
+    assert "lambda_hat = 2.9807878841004848e+198\n" in capsys.readouterr().out
 
 
 def test_certify_constraint_violation_exits_2(capsys):

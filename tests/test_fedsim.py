@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl.aggregators import AggregatorSpec
+from gasfl.aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap
 from gasfl.attacks import AttackSpec
 from gasfl.core import SeedSpec
 from gasfl.data import (ClientShards, SyntheticGradientModel, dirichlet_partition,
@@ -15,7 +15,7 @@ from gasfl.models import Model, finite_difference_grad
 from gasfl.reference import (dirichlet_shards_reference, local_train_reference,
                              synthetic_reference)
 from gasfl.simulation import (BucketedDefense, DataConfig, ExperimentConfig, GasDefense,
-                              PlainDefense, TrainerConfig, _defend, _sample_clients,
+                              PlainDefense, TrainerConfig, _sample_clients,
                               deviation_metric, inclusion_metrics, init_run, local_train,
                               run_experiment, run_round, run_single, server_step)
 
@@ -464,19 +464,24 @@ def test_sample_too_small_for_the_rule_is_rejected():
 
 # a sampled round with more Byzantine clients than the rule tolerates --------------
 
-PARTIAL_DEFENSES = [PlainDefense(AggregatorSpec("median")), GasDefense(AggregatorSpec("median"), p=650),
-                    PlainDefense(AggregatorSpec("multi_krum"))]
+PARTIAL_DEFENSES = [
+    pytest.param(PlainDefense(AggregatorSpec("median")), 1, id="median"),
+    pytest.param(GasDefense(AggregatorSpec("median"), p=650), 1, id="gas_median"),
+    pytest.param(PlainDefense(AggregatorSpec("multi_krum")), 1, id="multi_krum"),
+    pytest.param(BucketedDefense(AggregatorSpec("median"), s=2), 3, id="bucketed_median"),
+]
 
 
-@pytest.mark.parametrize("defense", PARTIAL_DEFENSES, ids=["median", "gas_median", "multi_krum"])
-def test_partial_participation_clamps_f_and_counts_the_excess(defense):
+@pytest.mark.parametrize("defense, excess", PARTIAL_DEFENSES)
+def test_partial_participation_clamps_f_and_counts_the_excess(defense, excess):
     # 10 of 50 clients sampled per round; round 67 samples 5 Byzantine
-    # clients, one past the bound of 4 that these rules have at n = 10
+    # clients, one past the bound of 4 that the plain and GAS rules have at
+    # n = 10, and three past the median's 2 of ceil(10 / 2) = 5 bucket means
     cfg = ExperimentConfig(n_clients=50, n_byzantine=10, rounds=200, attack=AttackSpec("lie", z=1.5),
                            defense=defense, client_sample_ratio=0.2, repeats=1)
     records = run_single(cfg, SeedSpec(3))
     assert len(records) == 200
-    assert records[67].f_excess == 1
+    assert records[67].f_excess == excess
     assert all(r.f_excess >= 0 for r in records)
 
 
@@ -531,21 +536,56 @@ def test_server_step_ipm_against_the_mean(f):
         assert np.array_equal(server_step(mean, bit_flip, honest, byz_mask, seed, 0)[0], agg)
 
 
-# GAS with an unknown f: ceil(delta * n) dropped --------------------------------
+def test_server_step_deviation_of_a_huge_finite_upload_is_finite(monkeypatch):
+    # the mean takes one Byzantine row of 1e300s to 2e299s, whose plain norm
+    # squares past the float range
+    honest = np.random.default_rng(3).standard_normal((4, 3))
+    monkeypatch.setattr("gasfl.simulation.craft", lambda spec, ctx, seed: np.full((ctx.byz_count, 3), 1e300))
+    byz_mask = np.arange(5) == 4
+    agg, deviation, *_ = server_step(PlainDefense(AggregatorSpec("mean")), AttackSpec("lie"),
+                                     honest, byz_mask, SeedSpec(0), 0)
+    assert np.isfinite(deviation)
+    assert deviation == pytest.approx(np.linalg.norm((agg - honest.mean(axis=0)) / 1e299) * 1e299,
+                                      rel=1e-12, abs=0)
 
-def test_gas_delta_keeps_n_minus_ceil_delta_n():
-    x = np.random.default_rng(6).standard_normal((10, 6))
-    seed, median = SeedSpec(3), AggregatorSpec("median")
-    agg, selected, excess = _defend(GasDefense(median, p=4, delta=0.25), x, 1, seed, 2)
-    f = int(np.ceil(0.25 * 10))
-    assert selected.size == 10 - f and excess == 0
-    ref, _, result, _ = gas_aggregate(GasConfig(4, median, KnownF(f), seed.child("gas")), x, round=2)
-    assert np.array_equal(agg, ref) and np.array_equal(selected, result.selected)
+
+# each defense's count, rows and stream --------------------------------------------
+
+DNC, MEDIAN = AggregatorSpec("dnc", b=2), AggregatorSpec("median")
+
+
+def _gas_entry(x, f, seed, t):
+    agg, _, result, _ = gas_aggregate(GasConfig(4, MEDIAN, KnownF(f), seed.child("gas")), x, round=t)
+    return agg, result.selected
+
+
+@pytest.mark.parametrize("defense, count, kept, entry", [
+    (PlainDefense(DNC), (1, 10), 6,
+     lambda x, f, seed, t: aggregate_with_selection(DNC, x, f, seed.child("agr", t))),
+    (GasDefense(MEDIAN, p=4, delta=0.25), (3, 10), 7, _gas_entry),
+    (BucketedDefense(MEDIAN, s=2), (1, 5), 10,
+     lambda x, f, seed, t: (bucketing_wrap(MEDIAN, x, f, 2, seed.child("bucketing", t)), np.arange(10))),
+], ids=["plain_dnc", "gas_delta", "bucketed_median"])
+def test_apply_is_its_entry_point_on_its_stream(defense, count, kept, entry):
+    # 10 clients holding 1 Byzantine one: GAS with delta = 0.25 hands its
+    # base rule ceil(2.5) = 3 whatever f is and keeps the other 7, and
+    # bucketing runs its rule over ceil(10 / 2) = 5 bucket means
+    x = np.random.default_rng(9).standard_normal((10, 6))
+    seed = SeedSpec(3)
+    assert defense.base_input(10, 1) == count
+    agg, selected = defense.apply(x, count[0], seed, 2)
+    ref, ref_selected = entry(x, count[0], seed, 2)
+    assert np.array_equal(agg, ref) and np.array_equal(selected, ref_selected)
+    assert selected.size == kept
+    # the uploads are such that the round's stream moves the aggregate
+    assert not np.array_equal(defense.apply(x, count[0], seed, 3)[0], agg)
 
 
 def test_gas_delta_zero_keeps_everyone():
     x = np.random.default_rng(7).standard_normal((6, 4))
-    _, selected, _ = _defend(GasDefense(AggregatorSpec("median"), p=4, delta=0.0), x, 2, SeedSpec(3), 0)
+    defense = GasDefense(AggregatorSpec("median"), p=4, delta=0.0)
+    assert defense.base_input(6, 2) == (0, 6)
+    _, selected = defense.apply(x, 0, SeedSpec(3), 0)
     assert np.array_equal(selected, np.arange(6))
 
 
