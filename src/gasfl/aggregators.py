@@ -120,14 +120,10 @@ def max_f(spec: AggregatorSpec, n: int) -> int:
     return max(bound, -1)
 
 
-def _check_f(spec: AggregatorSpec, n: int, f: int, s: int | None = None) -> None:
-    """Raise unless 0 <= f <= max_f(spec, n), at ceil(n/s) buckets when s is given."""
-    m = n if s is None else -(-n // s)
-    if 0 <= f <= max_f(spec, m):
+def _check_f(spec: AggregatorSpec, n: int, f: int) -> None:
+    """Raise unless 0 <= f <= max_f(spec, n)."""
+    if 0 <= f <= max_f(spec, n):
         return
-    if s is not None:
-        raise ValueError(f"too few buckets: {spec.kind} over ceil(n/s)={m} buckets tolerates "
-                         f"f <= {max_f(spec, m)}, got n={n}, s={s}, f={f}")
     params = f", c={spec.c}, niters={spec.niters}" if spec.kind == "dnc" else ""
     raise ValueError(f"{spec.kind} requires f >= 0 and {_BOUND_TEXT.get(spec.kind, 'f < n/2')}, "
                      f"got n={n}, f={f}{params}")
@@ -423,11 +419,13 @@ def bucketing_wrap(spec: AggregatorSpec, gradients, f: int, s: int,
     n = x.shape[0]
     if s < 1:
         raise ValueError(f"bucket size must be >= 1, got s={s}")
-    _check_f(spec, n, f, s)
+    n_buckets = -(-n // s)
+    if not 0 <= f <= max_f(spec, n_buckets):
+        raise ValueError(f"too few buckets: {spec.kind} over ceil(n/s)={n_buckets} buckets "
+                         f"tolerates f <= {max_f(spec, n_buckets)}, got n={n}, s={s}, f={f}")
     shift = scale_exponents(x)[0, 0]
     if shift:  # the bucket means would overflow first
         return np.ldexp(bucketing_wrap(spec, np.ldexp(x, -shift), f, s, seed), shift)
-    n_buckets = -(-n // s)
     seed = seed if seed is not None else SeedSpec(0)
     perm = seed.child("bucketing").generator().permutation(n)
     means = np.stack([x[chunk].mean(axis=0) for chunk in np.array_split(perm, n_buckets)])

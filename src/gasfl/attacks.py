@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SeedSpec, as_gradient_matrix, centered_sq_dists
+from .core import SeedSpec, as_gradient_matrix, centered_sq_dists, scale_exponents
 
 OWN_GRADIENT_KINDS = ("none", "bit_flip", "label_flip")
 KINDS = OWN_GRADIENT_KINDS + ("lie", "min_max", "min_sum", "ipm")
@@ -75,8 +75,9 @@ class AttackContext:
 def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) -> np.ndarray:
     """The f Byzantine uploads for this round, as an (f, d) matrix.
 
-    Colluding attacks return f copies of one vector. `seed` is part of the
-    contract for future randomized attacks; none of the current kinds use it.
+    Colluding attacks return f copies of one vector, crafted from the honest
+    rows scaled by `core.scale_exponents` and scaled back. `seed` is part of
+    the contract for future randomized attacks; none of the current kinds use it.
     """
     f = ctx.byz_count
     if f < 0:
@@ -95,6 +96,9 @@ def craft(spec: AttackSpec, ctx: AttackContext, seed: SeedSpec | None = None) ->
         return np.zeros((0, x.shape[1]))
     if x.shape[0] == 0:  # one honest row has std 0: lie, min_max and min_sum return it
         raise ValueError(f"{spec.kind} needs at least 1 honest gradient, got 0")
+    shift = scale_exponents(x)[0, 0]
+    if shift:  # the std and the distances would overflow first; each attack is homogeneous
+        return np.ldexp(craft(spec, AttackContext(np.ldexp(x, -shift), f), seed), shift)
     if spec.kind == "lie":  # hide just outside the crowd, in population-std units
         vec = x.mean(axis=0) + spec.z * x.std(axis=0)
     elif spec.kind == "ipm":  # the negatively scaled honest mean flips the update's direction

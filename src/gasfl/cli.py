@@ -205,24 +205,24 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gasfl",
+    parser = argparse.ArgumentParser(prog="gasfl", allow_abbrev=False,
                                      description="Byzantine-robust FL simulator and certifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment from a config file")
+    p_run = sub.add_parser("run", allow_abbrev=False, help="run one experiment from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config master seed")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run one experiment per value of one axis")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="run one experiment per value of one axis")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cert = sub.add_parser("certify", help="empirical resilience probe for one rule")
+    p_cert = sub.add_parser("certify", allow_abbrev=False, help="empirical resilience probe for one rule")
     p_cert.add_argument("--rule", required=True, choices=AGR_KINDS)
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--f", type=int, required=True)
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certify)
 
-    p_oracle = sub.add_parser("oracle", help="cross-check fast paths against brute-force references")
+    p_oracle = sub.add_parser("oracle", allow_abbrev=False,
+                              help="cross-check fast paths against brute-force references")
     p_oracle.add_argument("--suite", required=True, choices=SUITES)
     p_oracle.add_argument("--seed", type=int64, default=0)
     p_oracle.add_argument("--instances", type=int, default=1000)

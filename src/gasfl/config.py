@@ -23,14 +23,14 @@ from functools import cache
 from typing import Any
 
 from . import __version__
-from .simulation import BucketedDefense, Defense, ExperimentConfig, GasDefense, PlainDefense
+from .simulation import Defense, ExperimentConfig
 
 # The document's two irregular spots. ExperimentConfig's own scalar fields sit
 # in the two scalar sections, all in "experiment" except the _MODEL_FIELDS;
 # and "defense" is a union of dataclasses tagged by its "kind".
 _SCALAR_SECTIONS = ("experiment", "model")
 _MODEL_FIELDS = ("hidden", "init_scale")
-_DEFENSES = {"plain": PlainDefense, "gas": GasDefense, "bucketing": BucketedDefense}
+_DEFENSES = {cls.kind: cls for cls in typing.get_args(Defense)}
 # the bound of every config integer and every seed flag: numpy and SeedSpec's 64-bit mask stop there
 INT64, INT64_ERROR = range(-2**63, 2**63), "must lie within int64 [-2**63, 2**63)"
 
@@ -174,7 +174,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
         *section, key = _join("", name).split(".")
         target = doc.setdefault(section[0], {}) if section else doc
         target[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
-    doc["defense"]["kind"] = next(k for k, cls in _DEFENSES.items() if isinstance(cfg.defense, cls))
+    doc["defense"]["kind"] = cfg.defense.kind
     return doc
 
 

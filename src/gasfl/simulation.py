@@ -28,22 +28,24 @@ and those read by server_step:
   GasDefense      -> "gas" (partitions, drawn for round t)
   BucketedDefense -> ("bucketing", t)
 
-Each defense states the count and rows it hands its base rule (`base_input`)
-and runs itself on one round's uploads (`apply`, which reads the stream
-above). `server_step` clamps that count at the rule's bound and returns the
-excess, so it dispatches on no defense type.
+Each defense states its config `kind`, the count it hands its base rule and
+that count's bound at n clients (`base_input`), the field that sets the count
+(`count_field`), and runs itself on one round's uploads (`apply`, on the stream
+above). `server_step` and `ExperimentConfig` read these and name no defense type.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Sequence, Union
+from fractions import Fraction
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
 from . import gas as gas_mod
-from .aggregators import AggregatorSpec, _check_f, aggregate_with_selection, bucketing_wrap, max_f
+from .aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap, max_f
 from .attacks import OWN_GRADIENT_KINDS, AttackContext, AttackSpec, craft
 from .core import SeedSpec, check_server_ingress, l2_norm
 from .data import ClientShards, SyntheticDataset, dirichlet_partition, generate_synthetic
@@ -112,10 +114,12 @@ class DataConfig:
 @dataclass(frozen=True)
 class PlainDefense:
     base: AggregatorSpec
+    kind: ClassVar[str] = "plain"
+    count_field: ClassVar[str] = "n_byzantine"
 
     def base_input(self, n: int, f: int) -> tuple[int, int]:
-        """(count, rows) the base rule is handed for n clients holding f Byzantine ones."""
-        return f, n
+        """(count, bound): f, and the largest f the rule takes at n clients (-1 if none)."""
+        return f, max_f(self.base, n)
 
     def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """(aggregate, kept positions) of the base rule on stream ("agr", t)."""
@@ -126,12 +130,13 @@ class PlainDefense:
 class GasDefense:
     """Split-gradient defense. With `delta` None the server knows each round's
     Byzantine count f and keeps n - f clients; otherwise f is unknown to it
-    and it drops ceil(delta * n)."""
+    and it drops ceil(delta * n), with delta read as the decimal it prints as."""
 
     base: AggregatorSpec
     p: int
     delta: float | None = None
     partition_policy: str = "per_round"
+    kind: ClassVar[str] = "gas"
 
     def __post_init__(self):
         if self.delta is not None and not 0.0 <= self.delta < 0.5:  # a NaN fails too
@@ -139,9 +144,16 @@ class GasDefense:
         # runs the p and partition_policy checks
         gas_mod.GasConfig(self.p, self.base, gas_mod.KnownF(0), SeedSpec(0), self.partition_policy)
 
+    @property
+    def count_field(self) -> str:
+        return "n_byzantine" if self.delta is None else "defense.delta"
+
     def base_input(self, n: int, f: int) -> tuple[int, int]:
-        """(count, rows): f over n, or ceil(delta * n) over n whatever f is."""
-        return (f if self.delta is None else int(np.ceil(self.delta * n))), n
+        """(count, bound): f, or ceil(delta * n) whatever f is, and the rule's bound
+        at n, -1 below the 2 clients GAS needs. delta is read as the decimal it
+        prints as: the float 0.14 * 50 reads 7.000000000000001, whose ceiling is 8."""
+        count = f if self.delta is None else math.ceil(Fraction(repr(self.delta)) * n)
+        return count, max_f(self.base, n) if n >= 2 else -1
 
     def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """(aggregate, kept positions) of GAS keeping n - f, on stream "gas" at round t."""
@@ -155,14 +167,16 @@ class GasDefense:
 class BucketedDefense:
     base: AggregatorSpec
     s: int
+    kind: ClassVar[str] = "bucketing"
+    count_field: ClassVar[str] = "defense.s"
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
 
     def base_input(self, n: int, f: int) -> tuple[int, int]:
-        """(count, rows): f over the ceil(n / s) bucket means."""
-        return f, -(-n // self.s)
+        """(count, bound): f, and the rule's bound over the ceil(n / s) bucket means."""
+        return f, max_f(self.base, -(-n // self.s))
 
     def apply(self, uploads: np.ndarray, f: int, seed: SeedSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """(aggregate, every position) of bucketing on stream ("bucketing", t)."""
@@ -204,34 +218,24 @@ class ExperimentConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0 < self.client_sample_ratio <= 1:
             raise ValueError(f"client_sample_ratio must lie in (0, 1], got {self.client_sample_ratio}")
-        if isinstance(self.defense, GasDefense) and self.sample_size < 2:
-            raise ValueError(f"client_sample_ratio {self.client_sample_ratio} samples "
-                             f"{self.sample_size} of {self.n_clients} clients per round, "
-                             f"and a gas defense needs at least 2")
         if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         dim = Model(self.data.n_classes, self.data.n_features, self.hidden).dim  # checks hidden
         if isinstance(self.defense, GasDefense) and self.defense.p > dim:
             raise ValueError(f"defense.p must be <= the model dimension {dim}, got {self.defense.p}")
-        f, rows = self.defense.base_input(self.sample_size, self.n_byzantine)
-        # a partial round's count is clamped to the rule's bound, so only a sample
-        # too small for the rule at f = 0 fails every round
-        if self.sample_size < self.n_clients and max_f(self.defense.base, rows) < 0:
+        count, bound = self.defense.base_input(self.sample_size, self.n_byzantine)
+        rule = f"{self.defense.kind}({self.defense.base.kind})"
+        if self.sample_size == self.n_clients:  # every round then hands the defense all clients
+            if count > bound:
+                raise ValueError(f"{self.defense.count_field} is out of the defense's range with every "
+                                 f"client sampled: {rule} takes f <= {bound} at n={self.n_clients}, "
+                                 f"got f={count}")
+        # a partial round's count is clamped to the bound, so only a sample
+        # too small for the defense at f = 0 fails every round
+        elif bound < 0:
             raise ValueError(f"client_sample_ratio {self.client_sample_ratio} samples "
                              f"{self.sample_size} of {self.n_clients} clients per round, too few "
-                             f"for {self.defense.base.kind} over {rows} rows at any f")
-        if self.sample_size == self.n_clients:  # every round then hands the defense all clients
-            # the field that sets the count the base rule gets, and the bucket size
-            field, s = "n_byzantine", None
-            if isinstance(self.defense, BucketedDefense):
-                field, s = "defense.s", self.defense.s
-            elif isinstance(self.defense, GasDefense) and self.defense.delta is not None:
-                field = "defense.delta"
-            try:
-                _check_f(self.defense.base, self.n_clients, f, s)
-            except ValueError as exc:
-                raise ValueError(f"{field} is out of the defense's range with every client "
-                                 f"sampled: {exc}") from None
+                             f"for {rule} at any f")
 
 
 @dataclass(frozen=True)
@@ -409,11 +413,11 @@ def server_step(defense: Defense, attack: AttackSpec, honest: np.ndarray, byz_ma
     uploads[byz_mask] = crafted
     check_server_ingress(uploads)
 
-    # A sampled round can hold more Byzantine clients than the base rule tolerates
-    # at its rows, and GAS's ceil(delta * n) can pass it too. The rule is then handed
-    # its bound (0 if it takes no f at all, and raises), and the excess is returned.
-    wanted, rows = defense.base_input(byz_mask.size, f)
-    handed = min(wanted, max(max_f(defense.base, rows), 0))
+    # A sampled round can hold more Byzantine clients than the defense's bound, and
+    # GAS's ceil(delta * n) can pass it too. The rule is then handed the bound
+    # (0 if it takes no f at all, and raises), and the excess is returned.
+    wanted, bound = defense.base_input(byz_mask.size, f)
+    handed = min(wanted, max(bound, 0))
     try:
         agg, selected = defense.apply(uploads, handed, seed, t)
     except ValueError as exc:

@@ -5,7 +5,7 @@ import pytest
 
 from gasfl.aggregators import KINDS as AGR_KINDS
 from gasfl.attacks import KINDS as ATTACK_KINDS
-from gasfl.cli import main
+from gasfl.cli import build_parser, main
 from gasfl.config import ConfigError, emit_config, emit_json, manifest, parse_config
 
 SMALL_CONFIG = {
@@ -58,11 +58,22 @@ def test_run_missing_config_exits_2(tmp_path):
 
 
 def test_gas_delta_sets_selection():
-    # (count handed to the base rule, rows) for 10 clients holding 1 Byzantine
+    # (count handed to the base rule, its bound) for n clients holding 1
+    # Byzantine: the median takes f <= (n - 1) // 2. The float products
+    # 0.14 * 50 and 0.28 * 25 read 7.000000000000001, whose ceiling is 8
     payload = json.loads(json.dumps(SMALL_CONFIG))
-    assert parse_config(json.dumps(payload)).defense.base_input(10, 1) == (1, 10)
-    payload["defense"]["delta"] = 0.3
-    assert parse_config(json.dumps(payload)).defense.base_input(10, 1) == (3, 10)
+    assert parse_config(json.dumps(payload)).defense.base_input(10, 1) == (1, 4)
+    for delta, n, expected in [(0.3, 10, (3, 4)), (0.14, 50, (7, 24)), (0.28, 25, (7, 12))]:
+        payload["defense"]["delta"] = delta
+        assert parse_config(json.dumps(payload)).defense.base_input(n, 1) == expected
+
+
+def test_abbreviated_flag_exits_2(capsys):
+    # a prefix of a flag is no flag: `--trial` must not parse as `--trials`
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args("certify --rule median --n 10 --f 2 --trial 1000".split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trial 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value, needle", [

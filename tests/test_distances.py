@@ -193,6 +193,13 @@ def test_every_defense_is_homogeneous_under_powers_of_two(data):
     # scaling by 2^j is exact, and each entry's guard keeps the kernels
     # inside the float range, so each output scales with the input bit for bit
     x, f = data
+    # the attacks that read the honest rows, with x as those rows
+    attacks = [AttackSpec(kind) for kind in ("lie", "min_max", "min_sum", "ipm")]
+    crafted = [craft(spec, AttackContext(x, 2), SeedSpec(4)) for spec in attacks]
+    for j in (0, 150, 300, 700, 1000):
+        for spec, out in zip(attacks, crafted):
+            assert np.array_equal(craft(spec, AttackContext(np.ldexp(x, j), 2), SeedSpec(4)),
+                                  np.ldexp(out, j)), (spec.kind, j)
     for kind in KINDS:
         spec = AggregatorSpec(kind)
         f_rule = min(f, max_f(spec, x.shape[0]))

@@ -1,11 +1,12 @@
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasfl.aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap
+from gasfl.aggregators import AggregatorSpec, aggregate_with_selection, bucketing_wrap, max_f
 from gasfl.attacks import AttackSpec
 from gasfl.core import SeedSpec
 from gasfl.data import (ClientShards, SyntheticGradientModel, dirichlet_partition,
@@ -549,7 +550,7 @@ def test_server_step_deviation_of_a_huge_finite_upload_is_finite(monkeypatch):
                                       rel=1e-12, abs=0)
 
 
-# each defense's count, rows and stream --------------------------------------------
+# each defense's count, bound and stream --------------------------------------------
 
 DNC, MEDIAN = AggregatorSpec("dnc", b=2), AggregatorSpec("median")
 
@@ -560,16 +561,17 @@ def _gas_entry(x, f, seed, t):
 
 
 @pytest.mark.parametrize("defense, count, kept, entry", [
-    (PlainDefense(DNC), (1, 10), 6,
+    (PlainDefense(DNC), (1, 2), 6,
      lambda x, f, seed, t: aggregate_with_selection(DNC, x, f, seed.child("agr", t))),
-    (GasDefense(MEDIAN, p=4, delta=0.25), (3, 10), 7, _gas_entry),
-    (BucketedDefense(MEDIAN, s=2), (1, 5), 10,
+    (GasDefense(MEDIAN, p=4, delta=0.25), (3, 4), 7, _gas_entry),
+    (BucketedDefense(MEDIAN, s=2), (1, 2), 10,
      lambda x, f, seed, t: (bucketing_wrap(MEDIAN, x, f, 2, seed.child("bucketing", t)), np.arange(10))),
 ], ids=["plain_dnc", "gas_delta", "bucketed_median"])
 def test_apply_is_its_entry_point_on_its_stream(defense, count, kept, entry):
-    # 10 clients holding 1 Byzantine one: GAS with delta = 0.25 hands its
-    # base rule ceil(2.5) = 3 whatever f is and keeps the other 7, and
-    # bucketing runs its rule over ceil(10 / 2) = 5 bucket means
+    # 10 clients holding 1 Byzantine one: DnC with b = 2 takes f <= 2 of 10,
+    # GAS with delta = 0.25 hands its base rule ceil(2.5) = 3 whatever f is,
+    # within the median's 4, and keeps the other 7, and bucketing runs its
+    # rule over ceil(10 / 2) = 5 bucket means, of which the median takes f <= 2
     x = np.random.default_rng(9).standard_normal((10, 6))
     seed = SeedSpec(3)
     assert defense.base_input(10, 1) == count
@@ -584,7 +586,7 @@ def test_apply_is_its_entry_point_on_its_stream(defense, count, kept, entry):
 def test_gas_delta_zero_keeps_everyone():
     x = np.random.default_rng(7).standard_normal((6, 4))
     defense = GasDefense(AggregatorSpec("median"), p=4, delta=0.0)
-    assert defense.base_input(6, 2) == (0, 6)
+    assert defense.base_input(6, 2) == (0, 2)
     _, selected = defense.apply(x, 0, SeedSpec(3), 0)
     assert np.array_equal(selected, np.arange(6))
 
@@ -593,6 +595,45 @@ def test_gas_delta_zero_keeps_everyone():
 def test_gas_defense_rejects_delta_outside_range(delta):
     with pytest.raises(ValueError, match=r"^delta must lie in \[0, 0.5\)"):
         GasDefense(AggregatorSpec("median"), p=4, delta=delta)
+
+
+# a defense the simulator has never heard of ------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class OutsideDefense:
+    """PlainDefense's rule on PlainDefense's stream, under a class of its own."""
+
+    base: AggregatorSpec
+    kind: ClassVar[str] = "outside"
+    count_field: ClassVar[str] = "n_byzantine"
+
+    def base_input(self, n, f):
+        return f, max_f(self.base, n)
+
+    def apply(self, uploads, f, seed, t):
+        return aggregate_with_selection(self.base, uploads, f, seed.child("agr", t))
+
+
+def test_a_defense_defined_outside_simulation_runs_as_its_twin():
+    # ExperimentConfig and the round read only the defense's own contract, so
+    # a new class runs with no edit to simulation, and bit for bit as the
+    # PlainDefense it copies
+    def records(defense, **kw):
+        cfg = _small_cfg(attack="lie", n=10, f=2, rounds=3, defense=defense, **kw)
+        return [dataclasses.replace(r, wall_time=0.0) for r in run_single(cfg, SeedSpec(6))]
+    for spec, kw in [(AggregatorSpec("multi_krum"), {}),
+                     (AggregatorSpec("median"), {"client_sample_ratio": 0.5})]:
+        assert records(OutsideDefense(spec), **kw) == records(PlainDefense(spec), **kw)
+    # its bound is checked and its excess counted as any other defense's
+    bulyan = AggregatorSpec("bulyan")
+    with pytest.raises(ValueError, match=r"^n_byzantine is out of .*outside\(bulyan\) takes f <= 2"):
+        _small_cfg(n=10, f=3, defense=OutsideDefense(bulyan))
+    with pytest.raises(ValueError, match=r"^client_sample_ratio 0.2 samples 2 of 10 .*outside\(multi_krum\)"):
+        _small_cfg(n=10, f=2, client_sample_ratio=0.2, defense=OutsideDefense(AggregatorSpec("multi_krum")))
+    honest = np.random.default_rng(2).standard_normal((3, 4))
+    byz_mask = np.arange(6) >= 3
+    *_, f_excess = server_step(OutsideDefense(bulyan), AttackSpec("lie"), honest, byz_mask, SeedSpec(1), 0)
+    assert f_excess == 2  # Bulyan takes f <= 1 of 6
 
 
 # experiment driver ---------------------------------------------------------------
