@@ -45,9 +45,10 @@ class AggregatorSpec:
     """Tagged choice of aggregation rule plus its hyperparameters.
 
     Only the fields matching `kind` are read: `iters`/`eps` drive the
-    geometric median (3 Weiszfeld iterations by default), and `c`/`niters`/
-    `b` drive DnC (filter factor 4, one filtering round, 10000 sampled
-    coordinates by default).
+    geometric median (3 Weiszfeld iterations by default; `eps` is the least
+    distance a weight reads, in units of the power of two of the matrix's
+    peak |entry|), and `c`/`niters`/`b` drive DnC (filter factor 4, one
+    filtering round, 10000 sampled coordinates by default).
     """
 
     kind: str
@@ -245,12 +246,14 @@ def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
 def _geometric_median(stack: np.ndarray, iters: int, eps: float) -> np.ndarray:
     """Smoothed Weiszfeld iteration, started from the mean.
 
-    Point weights are 1 / max(eps, ||z - g_i||); `iters` fixed-point updates
-    are applied (no early stopping, for determinism).
+    Point weights are 1 / max(eps, ||z - g_i|| / 2^e), with 2^e the power of
+    two of the matrix's peak |entry|; `iters` fixed-point updates are applied
+    (no early stopping, for determinism).
     """
+    e = np.frexp(np.abs(stack).max(axis=(-2, -1)))[1][..., None]
     z = stack.mean(axis=-2)
     for _ in range(iters):
-        w = 1.0 / np.maximum(eps, np.linalg.norm(stack - z[..., None, :], axis=-1))
+        w = 1.0 / np.maximum(eps, np.ldexp(np.linalg.norm(stack - z[..., None, :], axis=-1), -e))
         z = (w[..., None] * stack).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
     return z
 

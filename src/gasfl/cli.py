@@ -26,6 +26,11 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 SWEEP_AXES = {"p": "defense.p", "delta": "defense.delta", "beta": "data.beta",
               "f": "experiment.n_byzantine", "n": "experiment.n_clients"}
 
+# each rounds.csv column and the RoundRecord field it reads; "repeat" is the run's index
+ROUNDS_COLUMNS = [("round", "round"), ("repeat", "repeat"), ("accuracy", "test_accuracy"),
+                  ("deviation", "deviation"), ("honest_ratio", "honest_inclusion_ratio"),
+                  ("byz_count", "byz_inclusion_count"), ("f_excess", "f_excess")]
+
 
 def int64(text: str) -> int:
     """argparse type of a seed flag; `run --seed` goes through the config parser instead."""
@@ -36,9 +41,7 @@ def int64(text: str) -> int:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write(path: Path, text: str) -> None:
@@ -49,13 +52,9 @@ def _write(path: Path, text: str) -> None:
 
 
 def _rounds_csv(all_records: list[list[RoundRecord]]) -> str:
-    lines = ["round,repeat,accuracy,deviation,honest_ratio,byz_count,f_excess"]
-    for repeat, records in enumerate(all_records):
-        for rec in records:
-            lines.append(",".join([
-                str(rec.round), str(repeat), _fmt(rec.test_accuracy), _fmt(rec.deviation),
-                _fmt(rec.honest_inclusion_ratio), str(rec.byz_inclusion_count), str(rec.f_excess),
-            ]))
+    rows = [{**vars(rec), "repeat": repeat} for repeat, run in enumerate(all_records) for rec in run]
+    lines = [",".join(column for column, _ in ROUNDS_COLUMNS)]
+    lines += [",".join(_fmt(row[field]) for _, field in ROUNDS_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -154,11 +153,9 @@ def cmd_sweep(args) -> int:
             _write(sub / "rounds.csv", _rounds_csv(records))
             _write(sub / "summary.txt", _summary_text(summary))
             _write(sub / "config.json", emit_config(cfg))
-            for repeat, recs in enumerate(records):
-                best = max(r.test_accuracy for r in recs)
-                final = recs[-1].test_accuracy
+            for repeat, (best, recs) in enumerate(zip(summary.best_accuracies, records)):
                 mean_dev = sum(r.deviation for r in recs) / len(recs)
-                lines.append(",".join([_fmt(value), str(repeat), _fmt(best), _fmt(final), _fmt(mean_dev)]))
+                lines.append(",".join(map(_fmt, (value, repeat, best, recs[-1].test_accuracy, mean_dev))))
     except (ValueError, MemoryError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -239,13 +239,18 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    round: int
-    test_accuracy: float
+class StepRecord:
+    """What `server_step` measured of one round's defense."""
     deviation: float
     honest_inclusion_ratio: float
     byz_inclusion_count: int
     f_excess: int  # how far the round's count passed the rule's bound, clamped off
+
+
+@dataclass(frozen=True)
+class RoundRecord(StepRecord):
+    round: int
+    test_accuracy: float
     wall_time: float
 
 
@@ -389,22 +394,19 @@ def run_round(state: RunState, cfg: ExperimentConfig, t: int) -> tuple[np.ndarra
                           flip_labels=byz_mask if cfg.attack.kind == "label_flip" else None)
     honest, own = (updates[~byz_mask], updates[byz_mask]) if needs_own else (updates, None)
 
-    agg, deviation, ratio, byz_in, f_excess = server_step(cfg.defense, cfg.attack, honest,
-                                                          byz_mask, state.seed, t, own)
+    agg, step = server_step(cfg.defense, cfg.attack, honest, byz_mask, state.seed, t, own)
     new_w = state.w - agg
     accuracy = state.model.accuracy(new_w, state.test.features, state.test.labels)
-    record = RoundRecord(t, accuracy, deviation, ratio, byz_in, f_excess, time.perf_counter() - started)
-    return new_w, record
+    return new_w, RoundRecord(**vars(step), round=t, test_accuracy=accuracy,
+                              wall_time=time.perf_counter() - started)
 
 
 def server_step(defense: Defense, attack: AttackSpec, honest: np.ndarray, byz_mask: np.ndarray,
-                seed: SeedSpec, t: int, own: np.ndarray | None = None
-                ) -> tuple[np.ndarray, float, float, int, int]:
+                seed: SeedSpec, t: int, own: np.ndarray | None = None) -> tuple[np.ndarray, StepRecord]:
     """Round t's server side: craft, stack, check at ingress, defend and score.
 
     `byz_mask` flags the Byzantine positions of the upload order, `honest` holds the
-    other rows in that order and `own` the Byzantine rows' own gradients. Returns
-    (aggregate, deviation, honest inclusion ratio, Byzantine inclusion count, f_excess).
+    other rows in that order and `own` the Byzantine rows' own gradients.
     """
     f = int(byz_mask.sum())
     crafted = craft(attack, AttackContext(honest, f, own), seed.child("attack", t))
@@ -423,7 +425,7 @@ def server_step(defense: Defense, attack: AttackSpec, honest: np.ndarray, byz_ma
     except ValueError as exc:
         raise ValueError(f"defense failed in round {t}: {exc}") from exc
     ratio, byz_in = inclusion_metrics(selected, byz_mask)
-    return agg, deviation_metric(agg, honest), ratio, byz_in, wanted - handed
+    return agg, StepRecord(deviation_metric(agg, honest), ratio, byz_in, wanted - handed)
 
 
 def run_single(cfg: ExperimentConfig, seed: SeedSpec) -> list[RoundRecord]:
@@ -449,7 +451,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[list[RoundRecord]], Expe
 
 __all__ = [
     "TrainerConfig", "DataConfig", "PlainDefense", "GasDefense", "BucketedDefense",
-    "ExperimentConfig", "RoundRecord", "ExperimentSummary", "RunState",
+    "ExperimentConfig", "StepRecord", "RoundRecord", "ExperimentSummary", "RunState",
     "local_train", "deviation_metric", "inclusion_metrics",
     "init_run", "run_round", "server_step", "run_single", "run_experiment",
 ]

@@ -123,9 +123,10 @@ def exclusion_instance():
     rows = []
     for t in range(rounds):
         honest = model.sample_round(t)
-        _, dev_gas, ratio, byz_in, _ = server_step(gas, lie, honest, byz_mask, seed, t)
-        _, dev_med, _, _, _ = server_step(median, lie, honest, byz_mask, seed, t)
-        rows.append((byz_in, ratio, dev_gas, dev_med))
+        _, by_gas = server_step(gas, lie, honest, byz_mask, seed, t)
+        _, by_median = server_step(median, lie, honest, byz_mask, seed, t)
+        rows.append((by_gas.byz_inclusion_count, by_gas.honest_inclusion_ratio, by_gas.deviation,
+                     by_median.deviation))
     byz_in, honest_ratio, dev_gas, dev_med = (np.mean(column) for column in zip(*rows))
     return {"byz_in": byz_in, "honest_ratio": honest_ratio, "dev_gas": dev_gas, "dev_med": dev_med,
             "elapsed": time.perf_counter() - started}

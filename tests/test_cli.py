@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -253,6 +254,28 @@ def test_sweep_delta(tmp_path):
     assert len(lines) - 1 == 2 * 2  # values x repeats
     assert (out / "delta_0.1" / "rounds.csv").exists()
     assert (out / "delta_0.3" / "summary.txt").exists()
+
+
+def test_sweep_csv_agrees_with_each_points_rounds_csv(tmp_path):
+    # sweep.csv reads each point's summary; rounds.csv writes every record.
+    # Under ipm one repeat ends below its best, so best and final differ
+    cfg = _write_config(tmp_path, {"experiment.rounds": 4, "attack.kind": "ipm"})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--axis", "delta",
+                 "--values", "0.1,0.3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert [(float(row["delta"]), int(row["repeat"])) for row in rows] == [(0.1, 0), (0.1, 1),
+                                                                          (0.3, 0), (0.3, 1)]
+    for row in rows:
+        records = [r for r in csv.DictReader((out / f"delta_{float(row['delta']):g}" / "rounds.csv").open())
+                   if r["repeat"] == row["repeat"]]
+        accuracies = [float(r["accuracy"]) for r in records]
+        deviations = [float(r["deviation"]) for r in records]
+        assert [int(r["round"]) for r in records] == [0, 1, 2, 3]
+        assert float(row["best_accuracy"]) == max(accuracies)
+        assert float(row["final_accuracy"]) == accuracies[-1]
+        assert float(row["mean_deviation"]) == sum(deviations) / len(deviations)
+    assert any(row["best_accuracy"] != row["final_accuracy"] for row in rows)
 
 
 def test_sweep_p_and_beta_and_n(tmp_path):

@@ -524,11 +524,10 @@ def test_server_step_ipm_against_the_mean(f):
     honest = np.random.default_rng(8).standard_normal((n - f, 5)) + 1.0
     byz_mask = np.isin(np.arange(n), [1, 4, 6][:f])
     mean = PlainDefense(AggregatorSpec("mean"))
-    agg, deviation, ratio, byz_in, f_excess = server_step(mean, AttackSpec("ipm", epsilon=eps),
-                                                          honest, byz_mask, seed, 0)
+    agg, step = server_step(mean, AttackSpec("ipm", epsilon=eps), honest, byz_mask, seed, 0)
     hbar = honest.mean(axis=0)
-    assert deviation == pytest.approx(f / n * (1 + eps) * np.linalg.norm(hbar), rel=1e-12, abs=0)
-    assert (ratio, byz_in, f_excess) == (1.0, f, 0)
+    assert step.deviation == pytest.approx(f / n * (1 + eps) * np.linalg.norm(hbar), rel=1e-12, abs=0)
+    assert (step.honest_inclusion_ratio, step.byz_inclusion_count, step.f_excess) == (1.0, f, 0)
     bit_flip = AttackSpec("bit_flip")
     if f:
         with pytest.raises(ValueError, match="bit_flip needs the Byzantine clients' own gradients"):
@@ -543,11 +542,11 @@ def test_server_step_deviation_of_a_huge_finite_upload_is_finite(monkeypatch):
     honest = np.random.default_rng(3).standard_normal((4, 3))
     monkeypatch.setattr("gasfl.simulation.craft", lambda spec, ctx, seed: np.full((ctx.byz_count, 3), 1e300))
     byz_mask = np.arange(5) == 4
-    agg, deviation, *_ = server_step(PlainDefense(AggregatorSpec("mean")), AttackSpec("lie"),
-                                     honest, byz_mask, SeedSpec(0), 0)
-    assert np.isfinite(deviation)
-    assert deviation == pytest.approx(np.linalg.norm((agg - honest.mean(axis=0)) / 1e299) * 1e299,
-                                      rel=1e-12, abs=0)
+    agg, step = server_step(PlainDefense(AggregatorSpec("mean")), AttackSpec("lie"),
+                            honest, byz_mask, SeedSpec(0), 0)
+    assert np.isfinite(step.deviation)
+    assert step.deviation == pytest.approx(np.linalg.norm((agg - honest.mean(axis=0)) / 1e299) * 1e299,
+                                           rel=1e-12, abs=0)
 
 
 # each defense's count, bound and stream --------------------------------------------
@@ -632,8 +631,8 @@ def test_a_defense_defined_outside_simulation_runs_as_its_twin():
         _small_cfg(n=10, f=2, client_sample_ratio=0.2, defense=OutsideDefense(AggregatorSpec("multi_krum")))
     honest = np.random.default_rng(2).standard_normal((3, 4))
     byz_mask = np.arange(6) >= 3
-    *_, f_excess = server_step(OutsideDefense(bulyan), AttackSpec("lie"), honest, byz_mask, SeedSpec(1), 0)
-    assert f_excess == 2  # Bulyan takes f <= 1 of 6
+    _, step = server_step(OutsideDefense(bulyan), AttackSpec("lie"), honest, byz_mask, SeedSpec(1), 0)
+    assert step.f_excess == 2  # Bulyan takes f <= 1 of 6
 
 
 # experiment driver ---------------------------------------------------------------
