@@ -46,8 +46,8 @@ class AggregatorSpec:
 
     Only the fields matching `kind` are read: `iters`/`eps` drive the
     geometric median (3 Weiszfeld iterations by default; `eps` is the least
-    distance a weight reads, in units of the power of two of the matrix's
-    peak |entry|), and `c`/`niters`/`b` drive DnC (filter factor 4, one
+    distance a weight reads, in units of the power of two of the median
+    row's peak |entry|), and `c`/`niters`/`b` drive DnC (filter factor 4, one
     filtering round, 10000 sampled coordinates by default).
     """
 
@@ -243,14 +243,25 @@ def _bulyan_average(sel: np.ndarray, f: int) -> np.ndarray:
     return nearest.mean(axis=-2)
 
 
+def _median_row_exponents(stack: np.ndarray) -> np.ndarray:
+    """Per matrix, the power of two of the median over its rows of each row's
+    peak |entry|, a scale that a minority of rows cannot move. It is held at
+    most 900 binades below the matrix's peak, so that no distance between
+    points of the matrix overflows in its units.
+    """
+    peaks = np.abs(stack).max(axis=-1)
+    floor = np.frexp(peaks.max(axis=-1))[1] - 900
+    return np.maximum(np.frexp(np.median(peaks, axis=-1, overwrite_input=True))[1], floor)
+
+
 def _geometric_median(stack: np.ndarray, iters: int, eps: float) -> np.ndarray:
     """Smoothed Weiszfeld iteration, started from the mean.
 
-    Point weights are 1 / max(eps, ||z - g_i|| / 2^e), with 2^e the power of
-    two of the matrix's peak |entry|; `iters` fixed-point updates are applied
+    Point weights are 1 / max(eps, ||z - g_i|| / 2^e), with 2^e the matrix's
+    `_median_row_exponents` scale; `iters` fixed-point updates are applied
     (no early stopping, for determinism).
     """
-    e = np.frexp(np.abs(stack).max(axis=(-2, -1)))[1][..., None]
+    e = _median_row_exponents(stack)[..., None]
     z = stack.mean(axis=-2)
     for _ in range(iters):
         w = 1.0 / np.maximum(eps, np.ldexp(np.linalg.norm(stack - z[..., None, :], axis=-1), -e))

@@ -41,7 +41,9 @@ def int64(text: str) -> int:
 
 
 def _fmt(value) -> str:
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def _write(path: Path, text: str) -> None:
@@ -154,8 +156,9 @@ def cmd_sweep(args) -> int:
             _write(sub / "summary.txt", _summary_text(summary))
             _write(sub / "config.json", emit_config(cfg))
             for repeat, (best, recs) in enumerate(zip(summary.best_accuracies, records)):
+                final = recs[-1].test_accuracy
                 mean_dev = sum(r.deviation for r in recs) / len(recs)
-                lines.append(",".join(map(_fmt, (value, repeat, best, recs[-1].test_accuracy, mean_dev))))
+                lines.append(",".join([_fmt(value), str(repeat), _fmt(best), _fmt(final), _fmt(mean_dev)]))
     except (ValueError, MemoryError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

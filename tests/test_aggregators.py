@@ -257,6 +257,16 @@ def test_geometric_median_1d_converges_to_median():
             <= ref.geometric_median_objective(x.mean(axis=0), x) + 1e-9)
 
 
+@pytest.mark.parametrize("big, iters", [(1e10, 20), (1e30, 40)])
+def test_geometric_median_unit_is_not_set_by_one_huge_row(big, iters):
+    # eps is read in units of the rows' median scale, so the one huge row
+    # cannot widen it until every honest distance falls below it
+    honest = np.random.default_rng(0).standard_normal((8, 5))
+    x = np.vstack([honest, np.full((1, 5), big)])
+    out = aggregate(_gm(iters), x, 1)
+    assert np.linalg.norm(out - honest.mean(axis=0)) < 1.0
+
+
 def test_geometric_median_objective_nonincreasing():
     x = _rand(11, 8, 3)
     objs = [ref.geometric_median_objective(aggregate(_gm(t), x, 0), x) for t in range(1, 8)]
